@@ -12,9 +12,11 @@
 //     members (PageRank), emitted under the PR9-comparable clientsN_* keys.
 //
 // Measured per client count: throughput (completed jobs per second over the
-// whole run), p50 / p99 submit-to-result latency, and the mean batch size
-// the coalescing window actually formed. Emits BENCH_PR10.json at the repo
-// root; `--quick` shrinks the graph and job count for CI smoke.
+// whole run), p50 / p99 submit-to-result latency, the mean batch size the
+// coalescing window actually formed, and (batching off, printed only) the
+// mean OpenMP team the service's thread budget granted each job. Emits
+// BENCH_PR10.json at the repo root; `--quick` shrinks the graph and job
+// count for CI smoke.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -35,6 +37,7 @@ struct LoadResult {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double mean_batch = 0.0;  ///< batched_requests / batches over this run
+  double mean_team = 0.0;   ///< threads granted per started job (unbatched)
 };
 
 double percentile(std::vector<double>& sorted, double p) {
@@ -86,6 +89,13 @@ LoadResult run_load(lagraph::GraphService& svc, int clients,
                                         before.batched_requests) /
                         static_cast<double>(batches)
                   : 0.0;
+  const std::uint64_t jobs =
+      (after.completed + after.failed + after.cancelled) -
+      (before.completed + before.failed + before.cancelled);
+  r.mean_team = jobs > 0 ? static_cast<double>(after.threads_granted -
+                                               before.threads_granted) /
+                               static_cast<double>(jobs)
+                         : 0.0;
   return r;
 }
 
@@ -148,8 +158,10 @@ int main(int argc, char** argv) {
       jobs_per_client, batch_max, batch_window_us);
   for (int i = 0; i < 3; ++i) {
     std::printf(
-        "  %d client(s)  off: %8.2f jobs/s  p50 %8.3f ms  p99 %8.3f ms\n",
-        counts[i], r_off[i].throughput_jps, r_off[i].p50_ms, r_off[i].p99_ms);
+        "  %d client(s)  off: %8.2f jobs/s  p50 %8.3f ms  p99 %8.3f ms  "
+        "mean team %.2f\n",
+        counts[i], r_off[i].throughput_jps, r_off[i].p50_ms, r_off[i].p99_ms,
+        r_off[i].mean_team);
     std::printf(
         "              on:  %8.2f jobs/s  p50 %8.3f ms  p99 %8.3f ms  "
         "mean batch %.2f\n",

@@ -126,13 +126,39 @@ class VectorMaskProbe {
 /// `test(j)` with non-decreasing j within the row.
 template <class MaskArg>
 class MatrixMaskProbe {
+  template <class M>
+  struct value_of {
+    using type = int;
+  };
+  template <class M>
+    requires requires { typename M::value_type; }
+  struct value_of<M> {
+    using type = typename M::value_type;
+  };
+  using mask_value_t = typename value_of<std::decay_t<MaskArg>>::type;
+
  public:
-  MatrixMaskProbe(const MaskArg& mask, const Descriptor& desc)
-      : structural_(desc.mask_structural), complement_(desc.mask_complement) {
+  using store_type =
+      std::conditional_t<is_masked<MaskArg>, SparseStore<mask_value_t>, int>;
+
+  /// The mask's row-major store (nullptr when unmasked). Matrix::by_row()
+  /// may materialise a cache on first use (the sparse view of a bitmap
+  /// mask), so it must not run inside a parallel region: kernels resolve
+  /// it once on the calling thread and build each chunk's probe from the
+  /// pointer, and the chunks then only read it.
+  static const store_type* rows(const MaskArg& mask) {
     if constexpr (is_masked<MaskArg>) {
-      store_ = &mask.by_row();
+      return &mask.by_row();
+    } else {
+      (void)mask;
+      return nullptr;
     }
   }
+
+  MatrixMaskProbe(const store_type* rows, const Descriptor& desc) noexcept
+      : store_(rows),
+        structural_(desc.mask_structural),
+        complement_(desc.mask_complement) {}
 
   void begin_row(Index r) noexcept {
     if constexpr (is_masked<MaskArg>) {
@@ -161,20 +187,7 @@ class MatrixMaskProbe {
   }
 
  private:
-  template <class M>
-  struct value_of {
-    using type = int;
-  };
-  template <class M>
-    requires requires { typename M::value_type; }
-  struct value_of<M> {
-    using type = typename M::value_type;
-  };
-  using mask_value_t = typename value_of<std::decay_t<MaskArg>>::type;
-  using store_t =
-      std::conditional_t<is_masked<MaskArg>, SparseStore<mask_value_t>, int>;
-
-  const store_t* store_ = nullptr;
+  const store_type* store_ = nullptr;
   Index pos_ = 0;
   Index end_ = 0;
   bool structural_ = false;
@@ -372,7 +385,7 @@ void write_back(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
     return;
   } else {
     const auto& cs = c.by_row();
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskArg> probe(MatrixMaskProbe<MaskArg>::rows(mask), desc);
 
     // Output is built hypersparse (rows appear as they produce entries);
     // adopt()'s policy inflates it back to standard when dense enough.

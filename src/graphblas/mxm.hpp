@@ -115,6 +115,7 @@ SparseStore<typename SR::value_type> mxm_gustavson(
   auto& cost = *cost_h;
   mxm_flop_prefix(ra, rb, cost);
   const std::span<const Index> costs(cost.data(), cost.size());
+  const auto* mask_rows = MatrixMaskProbe<MaskArg>::rows(mask);
 
   // Dense-regime kernel-native output: the result is produced directly in
   // the bitmap form — t.x/t.b are the row-major slot arrays, each saxpy
@@ -197,7 +198,7 @@ SparseStore<typename SR::value_type> mxm_gustavson(
     auto& acc = *acc_h;
     auto& present = *present_h;
     auto& touched = *touched_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskArg> probe(mask_rows, desc);
     for (Index ka = 0; ka < nv; ++ka) {
       platform::governor_poll();
       touched.clear();
@@ -247,7 +248,7 @@ SparseStore<typename SR::value_type> mxm_gustavson(
             platform::Workspace::checkout<ws_mxm_touched, Index>();
         auto& present = *present_h;
         auto& touched = *touched_h;
-        MatrixMaskProbe<MaskArg> probe(mask, desc);
+        MatrixMaskProbe<MaskArg> probe(mask_rows, desc);
         for (std::size_t ka = klo; ka < khi; ++ka) {
           platform::governor_poll();
           touched.clear();
@@ -290,7 +291,7 @@ SparseStore<typename SR::value_type> mxm_gustavson(
         auto& acc = *acc_h;
         auto& present = *present_h;
         auto& touched = *touched_h;
-        MatrixMaskProbe<MaskArg> probe(mask, desc);
+        MatrixMaskProbe<MaskArg> probe(mask_rows, desc);
         for (std::size_t ka = klo; ka < khi; ++ka) {
           platform::governor_poll();
           touched.clear();
@@ -438,11 +439,12 @@ SparseStore<typename SR::value_type> mxm_dot(const SparseStore<AT>& ra,
   // entry count (each of the cb.nvec() dots walks at most that many terms).
   const Index nv = ra.nvec();
   if (nv == 0) return t;
+  const auto* mask_rows = MatrixMaskProbe<MaskArg>::rows(mask);
   auto run_range = [&](Index klo, Index khi, SparseStore<ZT>& out) {
     auto row_h =
         platform::Workspace::checkout<ws_dot_row, std::pair<Index, ZT>>();
     auto& row = *row_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskArg> probe(mask_rows, desc);
     for (Index ka = klo; ka < khi; ++ka) {
       platform::governor_poll();
       Index r = ra.vec_id(ka);
@@ -514,6 +516,7 @@ SparseStore<typename SR::value_type> mxm_heap(const SparseStore<AT>& ra,
   auto cmp = [](const Node& x, const Node& y) {
     return x.col > y.col || (x.col == y.col && x.ord > y.ord);
   };
+  const auto* mask_rows = MatrixMaskProbe<MaskArg>::rows(mask);
 
   auto run_range = [&](Index klo, Index khi, SparseStore<ZT>& out) {
     auto row_h =
@@ -524,7 +527,7 @@ SparseStore<typename SR::value_type> mxm_heap(const SparseStore<AT>& ra,
     // per row.
     auto heap_h = platform::Workspace::checkout<ws_heap_nodes, Node>();
     auto& heap = *heap_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskArg> probe(mask_rows, desc);
     auto heap_push = [&](Node nd) {
       heap.push_back(nd);
       std::push_heap(heap.begin(), heap.end(), cmp);

@@ -103,6 +103,17 @@ class Governor {
     return cancel_.load(std::memory_order_relaxed);
   }
 
+  /// OpenMP thread allotment for kernels running under this governor; 0 =
+  /// none (every core). gb::platform::Service owns it: it re-splits the
+  /// cores across its running jobs whenever one starts or finishes, and
+  /// num_threads() re-reads it at every op. Safe from any thread.
+  void set_thread_allotment(int threads) noexcept {
+    threads_.store(threads, std::memory_order_relaxed);
+  }
+  [[nodiscard]] int thread_allotment() const noexcept {
+    return threads_.load(std::memory_order_relaxed);
+  }
+
   // --- scope machinery -------------------------------------------------------
 
   /// Outermost arm captures the deadline (now + timeout) and the byte limit
@@ -180,6 +191,7 @@ class Governor {
   std::atomic<std::size_t> limit_bytes_{0};   // armed absolute; 0 none
   std::atomic<int> arm_depth_{0};
   std::atomic<std::uint64_t> my_polls_{0};    // per-instance liveness signal
+  std::atomic<int> threads_{0};               // thread allotment; 0 none
 
   static std::atomic<int> trip_mode_;
   static std::atomic<std::int64_t> trip_remaining_;

@@ -54,13 +54,25 @@ extern "C" void __tsan_release(void* addr);
 
 namespace gb::platform {
 
-/// Number of threads the parallel helpers will use.
-inline int num_threads() noexcept {
+/// Every thread OpenMP would fork for an ungoverned caller.
+inline int max_threads() noexcept {
 #ifdef _OPENMP
   return omp_get_max_threads();
 #else
   return 1;
 #endif
+}
+
+/// Number of threads the parallel helpers will use: max_threads(), capped
+/// by the current governor's thread allotment when it carries one (a
+/// Service job's share of the cores). Re-read at every op, so a long
+/// served run widens and narrows with the service's load.
+inline int num_threads() noexcept {
+  int t = max_threads();
+  if (const Governor* g = Governor::current()) {
+    if (const int a = g->thread_allotment(); a > 0 && a < t) t = a;
+  }
+  return t;
 }
 
 /// Below this trip count a parallel loop costs more than it saves.
@@ -165,129 +177,110 @@ class ExceptionTrap {
   std::exception_ptr eptr_ = nullptr;
 };
 
-}  // namespace par_detail
-
-/// parallel_for(n, body) — body(i) for i in [0, n), dynamically scheduled.
-/// An exception from body (e.g. an injected bad_alloc in a user operator)
-/// is captured and rethrown on the calling thread after the join.
-template <class Body>
-void parallel_for(std::size_t n, Body&& body) {
-  if (n < kParallelGrain || num_threads() == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if ((i & 255) == 0) governor_poll();
-      body(i);
+/// Run chunk(c) for every c in [0, nchunks), on a team of num_threads()
+/// threads. Each worker re-binds the caller's governor and polls it before
+/// its chunk; an exception from a chunk is captured and rethrown on the
+/// calling thread after the join. schedule(static, 1) keeps the
+/// chunk->thread mapping deterministic for a fixed team size, so per-thread
+/// workspace pools warm up the same way on every run. With one thread (or
+/// one chunk) the chunks run in order on the caller, no fork. The team is
+/// not trimmed to the chunk count: libgomp ends the pool threads a smaller
+/// team leaves out, and the next full team would have to start them again.
+template <class Chunk>
+void run_chunks(std::size_t nchunks, Chunk&& chunk) {
+  [[maybe_unused]] const int t = nchunks > 1 ? num_threads() : 1;
+#ifdef _OPENMP
+  if (t > 1) {
+    Governor* gov = Governor::current();  // propagate to the OMP workers
+    ExceptionTrap trap;
+    char fork_token = 0;  // TSan happens-before anchor for fork/join edges
+    GB_TSAN_RELEASE(&fork_token);
+#pragma omp parallel for schedule(static, 1) num_threads(t)
+    for (std::int64_t c = 0; c < static_cast<std::int64_t>(nchunks); ++c) {
+      GB_TSAN_ACQUIRE(&fork_token);
+      trap.run([&] {
+        GovernorBind bind(gov);
+        governor_poll();
+        chunk(static_cast<std::size_t>(c));
+      });
+      GB_TSAN_RELEASE(&fork_token);
     }
+    GB_TSAN_ACQUIRE(&fork_token);
+    trap.rethrow();
     return;
   }
-#ifdef _OPENMP
-  Governor* gov = Governor::current();  // propagate to the OMP workers
-  par_detail::ExceptionTrap trap;
-  char fork_token = 0;  // TSan happens-before anchor for the fork/join edges
-  GB_TSAN_RELEASE(&fork_token);
-#pragma omp parallel for schedule(dynamic, 256)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    GB_TSAN_ACQUIRE(&fork_token);
-    trap.run([&] {
-      GovernorBind bind(gov);
-      if ((i & 255) == 0) governor_poll();
-      body(static_cast<std::size_t>(i));
-    });
-    GB_TSAN_RELEASE(&fork_token);
+#endif
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    governor_poll();
+    chunk(c);
   }
-  GB_TSAN_ACQUIRE(&fork_token);
-  trap.rethrow();
-#else
+}
+
+}  // namespace par_detail
+
+/// parallel_for(n, body) — body(i) for i in [0, n), dynamically scheduled
+/// on a team of num_threads() threads. An exception from body (e.g. an
+/// injected bad_alloc in a user operator) is captured and rethrown on the
+/// calling thread after the join.
+template <class Body>
+void parallel_for(std::size_t n, Body&& body) {
+  [[maybe_unused]] const int t = n < kParallelGrain ? 1 : num_threads();
+#ifdef _OPENMP
+  if (t > 1) {
+    Governor* gov = Governor::current();  // propagate to the OMP workers
+    par_detail::ExceptionTrap trap;
+    char fork_token = 0;  // TSan happens-before anchor for fork/join edges
+    GB_TSAN_RELEASE(&fork_token);
+#pragma omp parallel for schedule(dynamic, 256) num_threads(t)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+      GB_TSAN_ACQUIRE(&fork_token);
+      trap.run([&] {
+        GovernorBind bind(gov);
+        if ((i & 255) == 0) governor_poll();
+        body(static_cast<std::size_t>(i));
+      });
+      GB_TSAN_RELEASE(&fork_token);
+    }
+    GB_TSAN_ACQUIRE(&fork_token);
+    trap.rethrow();
+    return;
+  }
+#endif
   for (std::size_t i = 0; i < n; ++i) {
     if ((i & 255) == 0) governor_poll();
     body(i);
   }
-#endif
 }
 
 /// parallel_for_chunks(n, nchunks, body) — partition [0, n) into nchunks
 /// contiguous EQUAL-ITEM ranges and run body(chunk, lo, hi) for each, in
 /// parallel. Kept for uniform-cost work; skewed kernels use
-/// parallel_balanced_chunks. schedule(static, 1) keeps the chunk→thread
-/// mapping deterministic for a fixed thread count, so per-thread workspace
-/// pools warm up the same way on every run.
+/// parallel_balanced_chunks.
 template <class Body>
 void parallel_for_chunks(std::size_t n, std::size_t nchunks, Body&& body) {
   if (nchunks == 0) return;
   const std::size_t per = (n + nchunks - 1) / nchunks;
-#ifdef _OPENMP
-  Governor* gov = Governor::current();  // propagate to the OMP workers
-  par_detail::ExceptionTrap trap;
-  char fork_token = 0;  // TSan happens-before anchor for the fork/join edges
-  GB_TSAN_RELEASE(&fork_token);
-#pragma omp parallel for schedule(static, 1)
-  for (std::int64_t c = 0; c < static_cast<std::int64_t>(nchunks); ++c) {
-    GB_TSAN_ACQUIRE(&fork_token);
-    trap.run([&] {
-      GovernorBind bind(gov);
-      governor_poll();
-      auto uc = static_cast<std::size_t>(c);
-      std::size_t lo = uc * per;
-      std::size_t hi = lo + per < n ? lo + per : n;
-      if (lo < hi) body(uc, lo, hi);
-    });
-    GB_TSAN_RELEASE(&fork_token);
-  }
-  GB_TSAN_ACQUIRE(&fork_token);
-  trap.rethrow();
-#else
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    governor_poll();
+  par_detail::run_chunks(nchunks, [&](std::size_t c) {
     std::size_t lo = c * per;
     std::size_t hi = lo + per < n ? lo + per : n;
     if (lo < hi) body(c, lo, hi);
-  }
-#endif
+  });
 }
 
 /// Run body(chunk, lo, hi) over `nchunks` cost-balanced chunks of
 /// [0, prefix.size()-1). Chunk boundaries come from balanced_cut over the
 /// cost prefix, so a dominant row is isolated rather than dragging its
-/// whole equal-size chunk with it. Exceptions are captured and rethrown on
-/// the calling thread; schedule(static, 1) keeps the chunk→thread mapping
-/// (and therefore per-thread workspace warm-up) deterministic.
+/// whole equal-size chunk with it.
 template <class CostT, class Body>
 void parallel_balanced_chunks_n(std::span<const CostT> prefix,
                                 std::size_t nchunks, Body&& body) {
   const std::size_t n = prefix.size() - 1;
   if (nchunks == 0 || n == 0) return;
-  if (nchunks == 1) {
-    governor_poll();
-    body(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-#ifdef _OPENMP
-  Governor* gov = Governor::current();  // propagate to the OMP workers
-  par_detail::ExceptionTrap trap;
-  char fork_token = 0;  // TSan happens-before anchor for the fork/join edges
-  GB_TSAN_RELEASE(&fork_token);
-#pragma omp parallel for schedule(static, 1)
-  for (std::int64_t c = 0; c < static_cast<std::int64_t>(nchunks); ++c) {
-    GB_TSAN_ACQUIRE(&fork_token);
-    trap.run([&] {
-      GovernorBind bind(gov);
-      governor_poll();
-      auto uc = static_cast<std::size_t>(c);
-      std::size_t lo = balanced_cut(prefix, nchunks, uc);
-      std::size_t hi = balanced_cut(prefix, nchunks, uc + 1);
-      if (lo < hi) body(uc, lo, hi);
-    });
-    GB_TSAN_RELEASE(&fork_token);
-  }
-  GB_TSAN_ACQUIRE(&fork_token);
-  trap.rethrow();
-#else
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    governor_poll();
+  par_detail::run_chunks(nchunks, [&](std::size_t c) {
     std::size_t lo = balanced_cut(prefix, nchunks, c);
     std::size_t hi = balanced_cut(prefix, nchunks, c + 1);
     if (lo < hi) body(c, lo, hi);
-  }
-#endif
+  });
 }
 
 /// Convenience: pick the chunk count from the cost total, then run.

@@ -8,6 +8,7 @@
 #include "platform/env.hpp"
 #include "platform/epoch.hpp"
 #include "platform/memory.hpp"
+#include "platform/parallel.hpp"
 
 namespace gb::platform {
 
@@ -123,7 +124,8 @@ Governor* Service::Ticket::governor() const noexcept {
   return req_ ? &req_->gov : nullptr;
 }
 
-Service::Service(ServicePolicy policy) : policy_(policy) {
+Service::Service(ServicePolicy policy)
+    : policy_(policy), cores_(max_threads()) {
   if (const double v = g_env_batch_max.get(); v >= 0.0)
     policy_.batch_max = v < 1.0 ? 1 : static_cast<std::size_t>(v);
   if (const double v = g_env_batch_window.get(); v >= 0.0)
@@ -330,6 +332,13 @@ void Service::finish_members(const std::shared_ptr<Batch>& b, State s,
   }
 }
 
+void Service::split_threads() {
+  if (running_.empty()) return;
+  const int share =
+      std::max(1, cores_ / static_cast<int>(running_.size()));
+  for (auto& r : running_) r->gov.set_thread_allotment(share);
+}
+
 void Service::worker_loop() {
   for (;;) {
     std::shared_ptr<Ticket::Request> r;
@@ -406,6 +415,9 @@ void Service::worker_loop() {
       r->last_progress_ns = now_ns();
       running_.push_back(r);
       ++stats_.running;
+      split_threads();
+      stats_.threads_granted +=
+          static_cast<std::uint64_t>(r->gov.thread_allotment());
       {
         std::lock_guard<std::mutex> rl(r->m);
         r->state = State::running;
@@ -463,6 +475,7 @@ void Service::worker_loop() {
       running_.erase(std::remove(running_.begin(), running_.end(), r),
                      running_.end());
       --stats_.running;
+      split_threads();
       if (r->batch) {
         for (const auto& m : r->batch->members) {
           const State s = m->member_cancelled.load(std::memory_order_relaxed)

@@ -49,6 +49,16 @@
 // it occupies one queue_limit slot and the watchdog tracks its single
 // governor. batch_max <= 1 turns the stage off: submit_coalesced degrades
 // to a plain submit() wrapping the job in a one-member view.
+//
+// Thread budget: the Service owns the OpenMP cores its jobs share. At
+// construction it records cores = max_threads(); whenever a job starts or
+// finishes it gives every running job (a solo request or a batch carrier:
+// one job each) the allotment max(1, cores / running) on its governor, and
+// num_threads() honours the allotment of the governor current on the
+// calling thread. A lone request keeps every core; under load the cores
+// split instead of each worker forking a full team. Kernels re-read the
+// allotment at every op, and every kernel is bit-identical at any thread
+// count, so the split changes timing only, never results.
 #pragma once
 
 #include <atomic>
@@ -102,6 +112,10 @@ struct ServiceStats {
   std::uint64_t running = 0;           ///< currently executing (batch = 1 unit)
   std::uint64_t batches = 0;           ///< coalesced batches dispatched
   std::uint64_t batched_requests = 0;  ///< member requests inside those batches
+  /// Sum over started jobs of the thread allotment each began with. Over
+  /// unbatched traffic, threads_granted / (completed + failed + cancelled)
+  /// is the mean team size.
+  std::uint64_t threads_granted = 0;
 };
 
 class Service {
@@ -212,8 +226,10 @@ class Service {
               std::exception_ptr err) noexcept;
   void finish_members(const std::shared_ptr<Batch>& b, State s,
                       std::exception_ptr err);
+  void split_threads();  // m_ held
 
   ServicePolicy policy_;
+  const int cores_;  ///< the thread budget the running jobs share
   mutable std::mutex m_;
   std::condition_variable work_cv_;   // workers: queue non-empty or stopping
   std::condition_variable idle_cv_;   // quiesce(): queue empty and none running

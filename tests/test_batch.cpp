@@ -708,6 +708,74 @@ TEST(GraphServiceBatch, EightClientBatchedSoakIsBitIdenticalToSerial) {
   svc.quiesce();
 }
 
+// Regression: masked mxm used to build each chunk's mask probe inside the
+// parallel region, and Matrix::by_row() re-materialised the lazy sparse view
+// of a dense-form mask while sibling chunks were reading it (a heap use
+// after free under ASan, a data race under TSan). Batched BFS walks straight
+// into it: once a quarter of its k x n level slots are set the level matrix
+// turns bitmap, and it is the complemented mask of every level's mxm.
+TEST(GraphServiceBatch, ConcurrentBatchedBfsWithBitmapLevelMaskIsRaceFree) {
+  constexpr int kClients = 8;
+  // Big enough that every mid-run level's mxm splits into several chunks
+  // and the mask's sparse view takes long enough to build that chunks
+  // starting together overlap it.
+  auto make = [] {
+    return Graph(lagraph::erdos_renyi(8192, 131072, 91),
+                 lagraph::Kind::directed);
+  };
+  Graph serial = make();
+  std::vector<Index> sources(kClients);
+  std::vector<std::pair<std::vector<Index>, std::vector<double>>> truth;
+  for (int c = 0; c < kClients; ++c) {
+    sources[static_cast<std::size_t>(c)] = static_cast<Index>(c);
+    truth.push_back(tuples(
+        lagraph::bfs(serial, static_cast<Index>(c),
+                     lagraph::BfsVariant::direction_optimizing)
+            .level));
+  }
+  {
+    // Direct batched runs at 4 threads: the level mask really is dense-form
+    // by the end, and every repetition matches the solo rows.
+    ThreadGuard threads(4);
+    for (int rep = 0; rep < 8; ++rep) {
+      auto direct = lagraph::bfs_level_ms(serial, sources);
+      ASSERT_NE(direct.level.format(), gb::Format::sparse);
+      EXPECT_EQ(split_rows(direct.level, kClients), truth);
+    }
+  }
+
+  GraphService::Options opts;
+  opts.service.workers = 2;
+  opts.service.queue_limit = 1024;
+  opts.service.batch_max = 8;
+  opts.service.batch_window_us = 2000;
+  GraphService svc(opts);
+  svc.publish("g", make());
+  constexpr int kJobsPerClient = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        for (int j = 0; j < kJobsPerClient; ++j) {
+          const auto& r = svc.wait(svc.submit_algorithm(
+              "bfs", "g", static_cast<std::uint64_t>(c)));
+          if (std::make_pair(r.idx, r.vals) != truth[c])
+            mismatches.fetch_add(1);
+        }
+      } catch (...) {
+        mismatches.fetch_add(1000);  // no exception is acceptable here
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.completed, std::uint64_t{kClients * kJobsPerClient});
+  EXPECT_EQ(st.batched_requests, st.completed);
+  svc.quiesce();
+}
+
 TEST(GraphServiceBatch, CoalescingSubmitPathSurvivesAllocFaultInjection) {
   GraphService::Options opts;
   opts.service.workers = 1;

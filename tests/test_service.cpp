@@ -9,19 +9,26 @@
 // results bit-identical to a serial run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "capi/graphblas_c.h"
 #include "graphblas/graphblas.hpp"
 #include "lagraph/lagraph.hpp"
+#include "lagraph/runner.hpp"
 #include "lagraph/serving.hpp"
 #include "lagraph/util/generator.hpp"
 #include "platform/alloc.hpp"
@@ -29,12 +36,14 @@
 #include "platform/epoch.hpp"
 #include "platform/governor.hpp"
 #include "platform/memory.hpp"
+#include "platform/parallel.hpp"
 #include "platform/service.hpp"
 
 using gb::Index;
 using gb::platform::CancelledError;
 using gb::platform::Epoch;
 using gb::platform::Governor;
+using gb::platform::GovernorScope;
 using gb::platform::MemoryMeter;
 using gb::platform::OverloadedError;
 using gb::platform::ScopedFailAfter;
@@ -609,4 +618,315 @@ TEST(GraphService, ClientCancelSurfacesAsCancelledStop) {
   EXPECT_EQ(svc.poll(job), GraphService::JobState::cancelled);
   svc.release(job);
   EXPECT_THROW((void)svc.poll(job), gb::Error);
+}
+
+// --- thread budget ----------------------------------------------------------
+//
+// The Service owns the OpenMP cores: every running job (a solo request or a
+// batch carrier) gets max(1, cores / running) threads, re-split whenever a
+// job starts or finishes. Callers outside the service keep every core.
+
+namespace {
+
+/// What a kernel running on the calling thread sees: the thread count the
+/// parallel helpers use, and the team a chunked region actually forks.
+struct KernelThreads {
+  int threads = 0;
+  int team = 0;
+};
+
+KernelThreads probe_kernel() {
+  KernelThreads k;
+  k.threads = gb::platform::num_threads();
+  const auto cores = static_cast<std::size_t>(gb::platform::max_threads());
+  std::atomic<int> team{1};
+  gb::platform::parallel_for_chunks(
+      cores, cores, [&](std::size_t, std::size_t, std::size_t) {
+#ifdef _OPENMP
+        const int t = omp_get_num_threads();
+        int seen = team.load();
+        while (t > seen && !team.compare_exchange_weak(seen, t)) {
+        }
+#endif
+      });
+  k.team = team.load();
+  return k;
+}
+
+int share(int cores, int running) { return std::max(1, cores / running); }
+
+/// Wait (bounded) until the service reports `n` running jobs.
+bool wait_running(const Service& svc, std::uint64_t n) {
+  for (int i = 0; i < 20000; ++i) {
+    if (svc.stats().running == n) return true;
+    sleep_ms(0.5);
+  }
+  return false;
+}
+
+}  // namespace
+
+TEST(ThreadBudget, LoneJobSeesEveryCore) {
+  const int cores = gb::platform::max_threads();
+  Service svc(ServicePolicy{.workers = 4});
+  KernelThreads seen;
+  auto t = svc.submit([&](Governor&) { seen = probe_kernel(); });
+  ASSERT_EQ(t.wait(), Service::State::done);
+  EXPECT_EQ(seen.threads, cores);
+  EXPECT_EQ(seen.team, cores);
+  EXPECT_EQ(svc.stats().threads_granted, static_cast<std::uint64_t>(cores));
+}
+
+TEST(ThreadBudget, ConcurrentJobsSplitTheCores) {
+  const int cores = gb::platform::max_threads();
+  for (int n = 2; n <= 4; ++n) {
+    Service svc(ServicePolicy{.workers = n, .queue_limit = 0});
+    std::latch all_running(n);
+    std::latch all_recorded(n);
+    std::vector<KernelThreads> seen(static_cast<std::size_t>(n));
+    std::vector<Service::Ticket> tickets;
+    for (int k = 0; k < n; ++k) {
+      tickets.push_back(svc.submit([&, k](Governor&) {
+        all_running.arrive_and_wait();  // every job started: n running
+        seen[static_cast<std::size_t>(k)] = probe_kernel();
+        all_recorded.arrive_and_wait();  // nobody finishes before all probe
+      }));
+    }
+    for (auto& t : tickets) ASSERT_EQ(t.wait(), Service::State::done);
+    for (const KernelThreads& k : seen) {
+      EXPECT_EQ(k.threads, share(cores, n)) << "n = " << n;
+      EXPECT_EQ(k.team, share(cores, n)) << "n = " << n;
+    }
+    // Starts are serialised and nothing finished before the n-th start, so
+    // the k-th job began with cores / k.
+    std::uint64_t granted = 0;
+    for (int k = 1; k <= n; ++k) granted += share(cores, k);
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.threads_granted, granted) << "n = " << n;
+    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(n));
+  }
+}
+
+TEST(ThreadBudget, AllotmentWidensAgainAsLoadDrains) {
+  const int cores = gb::platform::max_threads();
+  constexpr int kJobs = 3;
+  Service svc(ServicePolicy{.workers = kJobs});
+  std::latch all_running(kJobs);
+  std::latch narrow_recorded(1);
+  KernelThreads narrow;
+  KernelThreads wide;
+  std::vector<Service::Ticket> tickets;
+  // The long job probes under full load, then again once it runs alone:
+  // the allotment is re-read at every op, so the same request widens.
+  tickets.push_back(svc.submit([&](Governor&) {
+    all_running.arrive_and_wait();
+    narrow = probe_kernel();
+    narrow_recorded.count_down();
+    while (svc.stats().running != 1) sleep_ms(0.2);
+    wide = probe_kernel();
+  }));
+  for (int k = 1; k < kJobs; ++k) {
+    tickets.push_back(svc.submit([&](Governor&) {
+      all_running.arrive_and_wait();
+      narrow_recorded.wait();
+    }));
+  }
+  for (auto& t : tickets) ASSERT_EQ(t.wait(), Service::State::done);
+  EXPECT_EQ(narrow.threads, share(cores, kJobs));
+  EXPECT_EQ(wide.threads, cores);
+  EXPECT_EQ(wide.team, cores);
+
+  // Drained: the next lone request starts with every core again.
+  KernelThreads after;
+  ASSERT_EQ(svc.submit([&](Governor&) { after = probe_kernel(); }).wait(),
+            Service::State::done);
+  EXPECT_EQ(after.threads, cores);
+}
+
+// Named under ServiceBatch: it pins its own batch policy, so the legs that
+// force LAGRAPH_BATCH_MAX process-wide filter it out with the others.
+TEST(ServiceBatch, CarrierCountsAsOneThreadBudgetJob) {
+  const int cores = gb::platform::max_threads();
+  constexpr std::size_t kMembers = 4;
+  Service svc(ServicePolicy{.workers = 2,
+                            .queue_limit = 0,
+                            .batch_max = kMembers,
+                            .batch_window_us = 60e6});
+  // One plain job plus one batch of four members: two jobs, not five.
+  std::latch both_running(2);
+  std::latch both_recorded(2);
+  KernelThreads solo;
+  KernelThreads batch;
+  auto blocker = svc.submit([&](Governor&) {
+    both_running.arrive_and_wait();
+    solo = probe_kernel();
+    both_recorded.arrive_and_wait();
+  });
+  std::vector<Service::Ticket> members;
+  for (std::size_t m = 0; m < kMembers; ++m) {
+    members.push_back(svc.submit_coalesced(
+        "probe", m, nullptr,
+        [&](Governor&, const Service::BatchView& view) {
+          EXPECT_EQ(view.size(), kMembers);
+          both_running.arrive_and_wait();
+          batch = probe_kernel();
+          both_recorded.arrive_and_wait();
+        }));
+  }
+  ASSERT_EQ(blocker.wait(), Service::State::done);
+  for (auto& t : members) ASSERT_EQ(t.wait(), Service::State::done);
+  EXPECT_EQ(solo.threads, share(cores, 2));
+  EXPECT_EQ(batch.threads, share(cores, 2));
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.threads_granted,
+            static_cast<std::uint64_t>(share(cores, 1) + share(cores, 2)));
+}
+
+TEST(ThreadBudget, UngovernedCallersAndStandaloneRunnersAreNeverCapped) {
+  const int cores = gb::platform::max_threads();
+  constexpr int kJobs = 4;
+  Service svc(ServicePolicy{.workers = kJobs});
+  std::atomic<bool> release{false};
+  std::vector<Service::Ticket> tickets;
+  for (int k = 0; k < kJobs; ++k) {
+    tickets.push_back(svc.submit([&](Governor&) {
+      while (!release.load()) sleep_ms(0.2);
+    }));
+  }
+  ASSERT_TRUE(wait_running(svc, kJobs));  // the service split its cores
+
+  // The caller's thread carries no governor: every core.
+  const KernelThreads caller = probe_kernel();
+  EXPECT_EQ(caller.threads, cores);
+  EXPECT_EQ(caller.team, cores);
+
+  // A governor nobody allotted threads to leaves the count alone too.
+  Governor own;
+  {
+    GovernorScope scope(&own);
+    EXPECT_EQ(probe_kernel().threads, cores);
+  }
+
+  // A stand-alone Runner arms its own governor per slice: uncapped.
+  struct ProbeResult {
+    StopReason stop = StopReason::none;
+    lagraph::Checkpoint checkpoint;
+    KernelThreads seen;
+  };
+  lagraph::Runner runner;
+  const ProbeResult r = runner.run([](const lagraph::Checkpoint*) {
+    ProbeResult out;
+    out.seen = probe_kernel();
+    return out;
+  });
+  EXPECT_EQ(r.seen.threads, cores);
+  EXPECT_EQ(r.seen.team, cores);
+
+  release.store(true);
+  for (auto& t : tickets) EXPECT_EQ(t.wait(), Service::State::done);
+}
+
+TEST(ThreadBudget, EightClientSoakIsBitIdenticalWhileTheAllotmentMoves) {
+  const int cores = gb::platform::max_threads();
+  // Large enough that PageRank, BFS and SSSP ops split into several chunks,
+  // so the allotment really changes the team size of running kernels.
+  auto make = [] {
+    gb::Matrix<double> a = lagraph::randomize_weights(
+        lagraph::erdos_renyi(1024, 24576, 77), 0.5, 2.0, 77);
+    return Graph(std::move(a), lagraph::Kind::directed);
+  };
+  GraphService::Options opts;
+  opts.service.workers = 4;
+  opts.service.queue_limit = 1024;
+  GraphService svc(opts);
+  svc.publish("g", make());
+
+  Graph serial = make();
+  const auto pr = tuples(lagraph::pagerank(serial, 0.85, 1e-9, 100).rank);
+  constexpr int kClients = 8;
+  std::vector<std::pair<std::vector<Index>, std::vector<double>>> bfs_truth;
+  std::vector<std::pair<std::vector<Index>, std::vector<double>>> sssp_truth;
+  for (Index s = 0; s < kClients; ++s) {
+    bfs_truth.push_back(tuples(
+        lagraph::bfs(serial, s, lagraph::BfsVariant::direction_optimizing)
+            .level));
+    sssp_truth.push_back(
+        tuples(lagraph::sssp_bellman_ford(serial, s).dist));
+  }
+
+  // A sampler job holds one worker for the whole soak and records the
+  // allotments its governor is handed as the other jobs come and go.
+  // Its first sample is taken alone, before any client submits.
+  std::atomic<bool> sampling{false};
+  std::atomic<bool> clients_done{false};
+  std::vector<int> allotments;
+  auto sampler = svc.core().submit([&](Governor& gov) {
+    while (!clients_done.load()) {
+      const int a = gov.thread_allotment();
+      if (allotments.empty() || allotments.back() != a)
+        allotments.push_back(a);
+      sampling.store(true);
+      sleep_ms(0.1);
+    }
+  });
+  while (!sampling.load()) sleep_ms(0.2);
+
+  constexpr int kJobsPerClient = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        for (int j = 0; j < kJobsPerClient; ++j) {
+          const auto src = static_cast<std::uint64_t>(c);
+          switch ((c + j) % 3) {
+            case 0: {
+              const auto& r =
+                  svc.wait(svc.submit_algorithm("pagerank", "g", 0));
+              if (std::make_pair(r.idx, r.vals) != pr) mismatches.fetch_add(1);
+              break;
+            }
+            case 1: {
+              const auto& r = svc.wait(svc.submit_algorithm("bfs", "g", src));
+              if (std::make_pair(r.idx, r.vals) != bfs_truth[c])
+                mismatches.fetch_add(1);
+              break;
+            }
+            default: {
+              const auto& r =
+                  svc.wait(svc.submit_algorithm("sssp", "g", src));
+              if (std::make_pair(r.idx, r.vals) != sssp_truth[c])
+                mismatches.fetch_add(1);
+              break;
+            }
+          }
+        }
+      } catch (...) {
+        mismatches.fetch_add(1000);  // no exception is acceptable here
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  clients_done.store(true);
+  ASSERT_EQ(sampler.wait(), Service::State::done);
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const ServiceStats st = svc.stats();
+  const std::uint64_t jobs = st.completed + st.failed + st.cancelled;
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(jobs, std::uint64_t{kClients * kJobsPerClient + 1});
+  ASSERT_FALSE(allotments.empty());
+  EXPECT_EQ(allotments.front(), cores);
+  for (int a : allotments) {
+    EXPECT_GE(a, 1);
+    EXPECT_LE(a, cores);
+  }
+  if (cores > 1) {
+    // The sampler ran alongside the clients, so the split moved under it,
+    // and the mean team was narrower than a full fork per job.
+    EXPECT_GT(allotments.size(), 1u);
+    EXPECT_LT(st.threads_granted, static_cast<std::uint64_t>(cores) * jobs);
+  }
+  svc.quiesce();
 }
