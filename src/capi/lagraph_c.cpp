@@ -48,6 +48,8 @@ LAGraph_StopReason map_stop(lagraph::StopReason s) noexcept {
   return LAGraph_STOP_NONE;
 }
 
+/// The return code of a driven run: the governor trip code for an
+/// interruption, GrB_SUCCESS for every completed stop.
 GrB_Info trip_code(lagraph::StopReason s) noexcept {
   switch (s) {
     case lagraph::StopReason::cancelled: return GxB_CANCELLED;
@@ -55,6 +57,35 @@ GrB_Info trip_code(lagraph::StopReason s) noexcept {
     case lagraph::StopReason::out_of_memory: return GrB_OUT_OF_MEMORY;
     default: return GrB_SUCCESS;
   }
+}
+
+using lagraph::Checkpoint;
+using lagraph::Graph;
+
+/// One driven Runner call on a private copy of `a`, read as a directed
+/// graph: `driver(g, cp)` is the resumable entry point the Runner slices.
+template <class D>
+auto driven(LAGraph_Runner r, GrB_Matrix a, D&& driver) {
+  // A driven call is a fresh run: a cancel left over from a previous run
+  // must not trip it at the first poll.
+  r->runner.governor().clear_cancel();
+  gb::Matrix<double> adj = a->m.dup();
+  Graph g(std::move(adj), lagraph::Kind::directed);
+  return r->runner.run(
+      [&](const Checkpoint* cp) { return driver(g, cp); });
+}
+
+/// The C vector is FP64-backed: convert a typed result (hop counts, vertex
+/// ids, colors — integers a double holds exactly below 2^53).
+template <class T>
+gb::Vector<double> to_fp64(const gb::Vector<T>& v) {
+  std::vector<gb::Index> idx;
+  std::vector<T> typed;
+  v.extract_tuples(idx, typed);
+  std::vector<double> vals(typed.begin(), typed.end());
+  gb::Vector<double> out(v.size());
+  out.build(idx, vals, gb::Second{});
+  return out;
 }
 
 template <class F>
@@ -160,18 +191,12 @@ GrB_Info LAGraph_Runner_pagerank(GrB_Vector rank, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    // A driven call is a fresh run: a cancel left over from a previous run
-    // must not trip it at the first poll.
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::pagerank(g, damping, tol, max_iters, cp);
     });
     rank->v = std::move(res.rank);
     if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -181,24 +206,12 @@ GrB_Info LAGraph_Runner_bfs_level(GrB_Vector level, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::bfs(g, static_cast<gb::Index>(source),
                           lagraph::BfsVariant::direction_optimizing, cp);
     });
-    // The C vector is FP64-backed; hop counts are small integers, exact in
-    // a double.
-    std::vector<gb::Index> idx;
-    std::vector<std::int64_t> hops;
-    res.level.extract_tuples(idx, hops);
-    std::vector<double> vals(hops.begin(), hops.end());
-    gb::Vector<double> out(res.level.size());
-    out.build(idx, vals, gb::Second{});
-    level->v = std::move(out);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    level->v = to_fp64(res.level);
+    return trip_code(res.stop);
   });
 }
 
@@ -209,18 +222,14 @@ GrB_Info LAGraph_Runner_sssp_bellman_ford(GrB_Vector dist, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::sssp_bellman_ford(g, static_cast<gb::Index>(source),
                                         cp);
     });
     // SSSP distances are FP64 already: the result vector moves straight in.
     dist->v = std::move(res.dist);
     if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -230,24 +239,12 @@ GrB_Info LAGraph_Runner_cc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::connected_components_run(g, cp);
     });
-    // The C vector is FP64-backed; labels are vertex ids, exact in a double
-    // for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
+    labels->v = to_fp64(res.labels);
     if (rounds != nullptr) *rounds = res.rounds;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -258,24 +255,12 @@ GrB_Info LAGraph_Runner_mcl(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::mcl(g, inflation, max_iters, prune, cp);
     });
-    // The C vector is FP64-backed; attractor ids are vertex ids, exact in a
-    // double for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
+    labels->v = to_fp64(res.labels);
     if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -286,22 +271,12 @@ GrB_Info LAGraph_Runner_peer_pressure(GrB_Vector labels, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::peer_pressure(g, max_iters, cp);
     });
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
+    labels->v = to_fp64(res.labels);
     if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -313,17 +288,13 @@ GrB_Info LAGraph_Runner_bc(GrB_Vector centrality, LAGraph_Runner r,
   }
   if (sources == nullptr && nsources != 0) return GrB_NULL_POINTER;
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
     std::vector<gb::Index> srcs(sources, sources + nsources);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::betweenness_run(g, srcs, cp);
     });
     // Centrality scores are FP64 already: the result moves straight in.
     centrality->v = std::move(res.centrality);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -335,18 +306,14 @@ GrB_Info LAGraph_Runner_sssp_delta_stepping(GrB_Vector dist, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::sssp_delta_stepping(g, static_cast<gb::Index>(source),
                                           delta, cp);
     });
     // Distances are FP64 already: the result vector moves straight in.
     dist->v = std::move(res.dist);
     if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -356,24 +323,12 @@ GrB_Info LAGraph_Runner_scc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::strongly_connected_components_run(g, cp);
     });
-    // The C vector is FP64-backed; labels are pivot vertex ids, exact in a
-    // double for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
+    labels->v = to_fp64(res.labels);
     if (pivots != nullptr) *pivots = res.pivots;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -384,24 +339,12 @@ GrB_Info LAGraph_Runner_coloring(GrB_Vector colors, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
+    auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::coloring_run(g, seed, cp);
     });
-    // The C vector is FP64-backed; colors are small 1-based integers, exact
-    // in a double.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> col;
-    res.colors.extract_tuples(idx, col);
-    std::vector<double> vals(col.begin(), col.end());
-    gb::Vector<double> out(res.colors.size());
-    out.build(idx, vals, gb::Second{});
-    colors->v = std::move(out);
+    colors->v = to_fp64(res.colors);
     if (rounds != nullptr) *rounds = static_cast<int32_t>(res.rounds);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 
@@ -411,23 +354,9 @@ GrB_Info LAGraph_Service_new(LAGraph_Service* s, int workers,
                              uint64_t queue_limit, double timeout_ms,
                              uint64_t budget_bytes, uint64_t shed_bytes,
                              double stall_ms) {
-  if (s == nullptr) return GrB_NULL_POINTER;
-  if (workers < 1) return GrB_INVALID_VALUE;
-  *s = nullptr;
-  return guarded([&] {
-    lagraph::GraphService::Options opts;
-    opts.service.workers = workers;
-    opts.service.queue_limit = static_cast<std::size_t>(queue_limit);
-    opts.service.request_timeout_ms = timeout_ms > 0 ? timeout_ms : 0.0;
-    opts.service.request_budget = static_cast<std::size_t>(budget_bytes);
-    opts.service.shed_bytes = static_cast<std::size_t>(shed_bytes);
-    opts.service.watchdog_stall_ms = stall_ms > 0 ? stall_ms : 0.0;
-    // Algorithm jobs slice at the request deadline/budget cadence.
-    opts.runner.slice_ms = timeout_ms > 0 ? timeout_ms : 0.0;
-    opts.runner.slice_budget = static_cast<std::size_t>(budget_bytes);
-    *s = new LAGraph_Service_opaque(std::move(opts));
-    return GrB_SUCCESS;
-  });
+  // Batching off: the ServicePolicy defaults (batch_max 1, no window).
+  return LAGraph_Service_new_ex(s, workers, queue_limit, timeout_ms,
+                                budget_bytes, shed_bytes, stall_ms, 1, 0.0);
 }
 
 GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
@@ -449,6 +378,7 @@ GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
     opts.service.batch_max =
         batch_max < 1 ? 1 : static_cast<std::size_t>(batch_max);
     opts.service.batch_window_us = batch_window_us;
+    // Algorithm jobs slice at the request deadline/budget cadence.
     opts.runner.slice_ms = timeout_ms > 0 ? timeout_ms : 0.0;
     opts.runner.slice_budget = static_cast<std::size_t>(budget_bytes);
     *s = new LAGraph_Service_opaque(std::move(opts));
@@ -536,8 +466,7 @@ GrB_Info LAGraph_Service_wait(GrB_Vector result, LAGraph_Service s,
     gb::Vector<double> out(res.n);
     out.build(res.idx, res.vals, gb::Second{});
     result->v = std::move(out);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
+    return trip_code(res.stop);
   });
 }
 

@@ -185,7 +185,8 @@ GrB_Info LAGraph_Service_free(LAGraph_Service* s);
 
 /* Freeze a copy of `a` (interpreted as directed) and publish it under
  * `name`. Republishing a name replaces the version seen by *future*
- * submissions; in-flight jobs keep their snapshot (snapshot isolation). */
+ * submissions; in-flight jobs keep their snapshot (snapshot isolation).
+ * The displaced version is freed as soon as no unfinished job holds it. */
 GrB_Info LAGraph_Service_publish(LAGraph_Service s, const char* name,
                                  GrB_Matrix a);
 

@@ -85,7 +85,6 @@ ClusterResult mcl(const Graph& g, double inflation, int max_iters,
   gb::check_value(inflation > 1.0, "mcl: inflation must be > 1");
   gb::check_value(max_iters > 0, "mcl: max_iters must be positive");
   gb::check_value(prune >= 0.0, "mcl: prune must be non-negative");
-  max_iters = scaled_max_iters(max_iters);
 
   const Index n = g.nrows();
 

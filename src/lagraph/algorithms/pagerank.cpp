@@ -54,7 +54,6 @@ PageRankResult pagerank(const Graph& g, double damping, double tol,
                   "pagerank: damping must be in (0, 1)");
   gb::check_value(tol > 0.0, "pagerank: tol must be positive");
   gb::check_value(max_iters > 0, "pagerank: max_iters must be positive");
-  max_iters = scaled_max_iters(max_iters);
 
   const auto& a = g.adj();
   const Index n = a.nrows();
@@ -162,7 +161,6 @@ PprMsResult pagerank_personalized_ms(const Graph& g,
   gb::check_value(tol > 0.0, "pagerank_personalized_ms: tol must be positive");
   gb::check_value(max_iters > 0,
                   "pagerank_personalized_ms: max_iters must be positive");
-  max_iters = scaled_max_iters(max_iters);
 
   const auto& a = g.adj();
   const Index n = a.nrows();

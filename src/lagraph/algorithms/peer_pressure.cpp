@@ -25,7 +25,6 @@ ClusterResult peer_pressure(const Graph& g, int max_iters,
                             const Checkpoint* resume) {
   check_graph(g, "peer_pressure");
   gb::check_value(max_iters > 0, "peer_pressure: max_iters must be positive");
-  max_iters = scaled_max_iters(max_iters);
   const Index n = g.nrows();
 
   ClusterResult res;

@@ -17,10 +17,10 @@
 //   rung 1 — low-memory hint: mxm auto-select prefers the heap method over
 //            Gustavson's dense accumulator (platform::low_memory_hint);
 //   rung 2 — halved slice deadline: smaller slices bound both the peak
-//            transient footprint and the work redone after a trip;
-//   rung 3 — reduced iteration caps: drivers consult scaled_max_iters(), so
-//            a run that cannot finish within budget still terminates with a
-//            coarser answer instead of failing outright.
+//            transient footprint and the work redone after a trip.
+//
+// No rung changes what the algorithm computes: a run either finishes with
+// the exact answer or gives up with a resumable checkpoint.
 //
 // Past the ladder, each further budget trip consumes one RetryPolicy
 // attempt: exponential backoff, then the slice budget is escalated by
@@ -118,7 +118,7 @@ class Runner {
       }
     }
 
-    int rung = 0;                 // degradation ladder position (0..3)
+    int rung = 0;                 // degradation ladder position (0..2)
     double budget_scale = 1.0;    // grows with each retry
     double slice_ms = opts_.slice_ms;
 
@@ -130,7 +130,6 @@ class Runner {
       auto result = [&] {
         gb::platform::GovernorScope install(govp_);
         gb::platform::LowMemoryScope lomem(rung >= 1);
-        IterScaleScope iters(rung >= 3 ? 0.5 : 1.0);
         return algo(have_cp ? &cp : nullptr);
       }();
 
@@ -166,7 +165,7 @@ class Runner {
       }
 
       // Budget trip: climb the ladder, then spend retries.
-      if (rung < 3) {
+      if (rung < 2) {
         ++rung;
         ++report_.degradations;
         if (rung == 2 && slice_ms > 0) slice_ms *= 0.5;

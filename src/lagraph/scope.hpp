@@ -103,35 +103,4 @@ inline void rethrow_interruption(StopReason r) {
   }
 }
 
-/// Iteration-budget scale installed by the Runner's degradation ladder
-/// (its last rung before surfacing a hard error): drivers with an iteration
-/// cap shrink it via scaled_max_iters(), so a run that keeps tripping its
-/// byte budget can still terminate with a coarser answer instead of failing
-/// outright. 1.0 (no scaling) outside the ladder.
-inline double& iter_scale() noexcept {
-  static thread_local double scale = 1.0;
-  return scale;
-}
-
-[[nodiscard]] inline int scaled_max_iters(int max_iters) noexcept {
-  const double s = iter_scale();
-  if (s >= 1.0) return max_iters;
-  const int scaled = static_cast<int>(static_cast<double>(max_iters) * s);
-  return scaled < 1 ? 1 : scaled;
-}
-
-/// RAII installer for iter_scale, exception-safe across a Runner slice.
-class IterScaleScope {
- public:
-  explicit IterScaleScope(double s) noexcept : prev_(iter_scale()) {
-    iter_scale() = s < prev_ ? s : prev_;
-  }
-  ~IterScaleScope() { iter_scale() = prev_; }
-  IterScaleScope(const IterScaleScope&) = delete;
-  IterScaleScope& operator=(const IterScaleScope&) = delete;
-
- private:
-  double prev_;
-};
-
 }  // namespace lagraph

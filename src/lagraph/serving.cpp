@@ -78,37 +78,31 @@ GraphService::GraphService(Options opts)
     : opts_(std::move(opts)), svc_(opts_.service) {}
 
 void GraphService::publish(const std::string& name, Graph&& g) {
-  auto sp = std::make_shared<Graph>(std::move(g));
-  sp->freeze();
-  gb::platform::Versioned<Graph>* cell;
+  auto next = std::make_shared<Graph>(std::move(g));
+  next->freeze();  // outside the lock: readers never wait on a freeze
+  std::shared_ptr<const Graph> displaced = std::move(next);
   {
     std::lock_guard<std::mutex> lk(gm_);
-    auto& slot = graphs_[name];
-    if (!slot) slot = std::make_unique<gb::platform::Versioned<Graph>>();
-    cell = slot.get();
+    Published& p = graphs_[name];
+    p.current.swap(displaced);
+    ++p.version;
   }
-  cell->publish(std::move(sp));
+  // If no job still holds the displaced version, it is freed here, outside
+  // the lock.
 }
 
 std::shared_ptr<const Graph> GraphService::snapshot(
     const std::string& name) const {
-  gb::platform::Versioned<Graph>* cell = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(gm_);
-    auto it = graphs_.find(name);
-    if (it != graphs_.end()) cell = it->second.get();
-  }
-  gb::check_value(cell != nullptr, "GraphService: unknown graph name");
-  gb::platform::Epoch::Guard pin;
-  auto snap = cell->acquire();
-  gb::check_value(snap != nullptr, "GraphService: graph never published");
-  return snap;
+  std::lock_guard<std::mutex> lk(gm_);
+  auto it = graphs_.find(name);
+  gb::check_value(it != graphs_.end(), "GraphService: unknown graph name");
+  return it->second.current;
 }
 
 std::uint64_t GraphService::version(const std::string& name) const {
   std::lock_guard<std::mutex> lk(gm_);
   auto it = graphs_.find(name);
-  return it == graphs_.end() ? 0 : it->second->version();
+  return it == graphs_.end() ? 0 : it->second.version;
 }
 
 std::uint64_t GraphService::submit(const std::string& graph, Query q) {

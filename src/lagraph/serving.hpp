@@ -3,11 +3,14 @@
 // Runner-driven algorithm jobs, and a job table reachable from the C API.
 //
 // Publication model: publish(name, graph) freezes the graph (every lazy
-// cache materialised) and installs it in a Versioned cell. Submitting a job
-// acquires the version current *at submit time*; a writer republishing the
-// name never blocks running readers and never changes what an in-flight job
-// sees (snapshot isolation). Displaced versions are parked in the epoch
-// limbo and freed deterministically by drain_retired() / Service::quiesce().
+// cache materialised) and makes it the name's current version, a
+// shared_ptr<const Graph>. Submitting a job acquires the version current
+// *at submit time*; a writer republishing the name never blocks running
+// readers and never changes what an in-flight job sees (snapshot
+// isolation). Versions are reference counted: a displaced version is freed
+// when its last holder lets go — the service entry, a job that has not
+// finished yet, or a caller of snapshot() — with no drain call, from C as
+// well as C++.
 //
 // Execution model: algorithm jobs are self-governed — a lagraph::Runner is
 // bound to the request's Governor (external-governor mode), so slices arm
@@ -39,7 +42,6 @@
 #include "lagraph/graph.hpp"
 #include "lagraph/runner.hpp"
 #include "lagraph/scope.hpp"
-#include "platform/epoch.hpp"
 #include "platform/service.hpp"
 
 namespace lagraph {
@@ -73,8 +75,8 @@ class GraphService {
 
   /// Freeze `g` and install it as the current version under `name`.
   /// Republishing replaces the version for *future* submissions only; jobs
-  /// in flight keep the snapshot they acquired. The displaced version goes
-  /// to the epoch limbo for deterministic retirement.
+  /// in flight keep the snapshot they acquired. The displaced version is
+  /// freed once the last job holding it finishes (here, if none does).
   void publish(const std::string& name, Graph&& g);
 
   /// The current published snapshot (throws gb::Error invalid_value when the
@@ -120,11 +122,8 @@ class GraphService {
     return svc_.stats();
   }
 
-  /// Free every retired graph version no reader can still reach.
-  std::size_t drain_retired() { return gb::platform::Epoch::drain(); }
-
-  /// Wait for in-flight work to finish, then drain (Service::quiesce).
-  std::size_t quiesce() { return svc_.quiesce(); }
+  /// Wait until no job is queued or running (Service::quiesce).
+  void quiesce() { svc_.quiesce(); }
 
   [[nodiscard]] gb::platform::Service& core() noexcept { return svc_; }
 
@@ -141,10 +140,15 @@ class GraphService {
   Options opts_;
   gb::platform::Service svc_;
 
+  /// One published name: its current version and how many times it has
+  /// been published.
+  struct Published {
+    std::shared_ptr<const Graph> current;
+    std::uint64_t version = 0;
+  };
+
   mutable std::mutex gm_;
-  std::unordered_map<std::string,
-                     std::unique_ptr<gb::platform::Versioned<Graph>>>
-      graphs_;
+  std::unordered_map<std::string, Published> graphs_;
 
   mutable std::mutex jm_;
   std::unordered_map<std::uint64_t, Job> jobs_;

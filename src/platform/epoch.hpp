@@ -1,200 +1,17 @@
-// Epoch-based reclamation and versioned publication for the serving layer.
-//
-// The snapshot mechanism (Matrix/Vector/Graph::snapshot) hands immutable
-// shared_ptr<const T> views to concurrent readers, so plain reference
-// counting already keeps memory alive exactly as long as someone reads it.
-// What reference counting alone does NOT give is *deterministic* retirement:
-// the GrB_wait analogy in the issue — "old versions free deterministically"
-// — means a writer that republishes wants a point where it can say "every
-// snapshot published before now is gone, or still pinned by a reader I can
-// name". Epochs provide that point.
-//
-// Protocol:
-//   * Readers enter a Guard before acquiring a published snapshot. The guard
-//     pins the global epoch for its lifetime.
-//   * Writers retire an old snapshot with Epoch::retire(ptr): the pointer is
-//     stamped with a freshly bumped epoch and parked in a limbo list.
-//   * Epoch::drain() frees every limbo entry whose stamp is <= the minimum
-//     epoch pinned by any live guard (all of them when no guard is live).
-//     The Service calls drain at worker quiescence points, so retirement is
-//     deterministic: after drain returns with no readers in flight, nothing
-//     old survives.
-//
-// The registry is a fixed array of per-slot pinned epochs (one slot per
-// thread, assigned on first use), so Guard entry/exit is two relaxed-ish
-// atomic stores and never allocates — cheap enough for the per-request path.
+// Compatibility stub. Graph versions published through lagraph::GraphService
+// are reference counted and free when their last holder lets go, so there is
+// nothing left to drain. The header and this no-op exist only for the
+// Epoch::drain() calls in perfbench/traffic.cpp and perfbench/layers.cpp;
+// the next benchmark-only change removes both those calls and this header.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
+#include <cstddef>
 
 namespace gb::platform {
 
-class Epoch {
- public:
-  static constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
-  static constexpr int kMaxThreads = 256;
-
-  /// Pins the current global epoch for the lifetime of the guard. Nestable:
-  /// inner guards on the same thread keep the outermost pin.
-  class Guard {
-   public:
-    Guard() noexcept {
-      Slot& s = my_slot();
-      if (s.depth++ == 0)
-        s.pinned.store(global().load(std::memory_order_acquire),
-                       std::memory_order_release);
-    }
-    ~Guard() {
-      Slot& s = my_slot();
-      if (--s.depth == 0)
-        s.pinned.store(kUnpinned, std::memory_order_release);
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-  };
-
-  /// Park an expired snapshot: stamp it past every currently pinned epoch
-  /// and keep it alive until a drain proves no reader can still hold a
-  /// pre-retirement acquisition path to it.
-  static void retire(std::shared_ptr<const void> p) {
-    if (!p) return;
-    const std::uint64_t stamp =
-        global().fetch_add(1, std::memory_order_acq_rel) + 1;
-    std::lock_guard<std::mutex> lk(limbo_mutex());
-    limbo().push_back(Retired{stamp, std::move(p)});
-  }
-
-  /// Free every retired snapshot no live guard can still reach. Returns the
-  /// number of entries freed. Safe from any thread, any time; O(limbo).
-  static std::size_t drain() {
-    const std::uint64_t horizon = min_pinned();
-    std::vector<Retired> freed;
-    {
-      std::lock_guard<std::mutex> lk(limbo_mutex());
-      auto& l = limbo();
-      auto keep = l.begin();
-      for (auto it = l.begin(); it != l.end(); ++it) {
-        if (it->stamp <= horizon)
-          freed.push_back(std::move(*it));  // drops outside the lock
-        else
-          *keep++ = std::move(*it);
-      }
-      l.erase(keep, l.end());
-    }
-    return freed.size();  // destructors ran when `freed` goes out of scope
-  }
-
-  /// Entries currently parked (test/stats hook).
-  static std::size_t limbo_size() {
-    std::lock_guard<std::mutex> lk(limbo_mutex());
-    return limbo().size();
-  }
-
-  /// Smallest epoch pinned by any live guard; max when none are live
-  /// (then every limbo entry is drainable).
-  static std::uint64_t min_pinned() noexcept {
-    std::uint64_t m = kUnpinned;
-    Registry& r = registry();
-    const int n = r.used.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t p = r.slots[i].pinned.load(std::memory_order_acquire);
-      if (p < m) m = p;
-    }
-    return m;
-  }
-
- private:
-  struct Slot {
-    std::atomic<std::uint64_t> pinned{kUnpinned};
-    int depth = 0;  // only touched by the owning thread
-  };
-  struct Registry {
-    std::array<Slot, kMaxThreads> slots{};
-    std::atomic<int> used{0};
-  };
-  struct Retired {
-    std::uint64_t stamp;
-    std::shared_ptr<const void> p;
-  };
-
-  static Registry& registry() {
-    static Registry r;
-    return r;
-  }
-  static std::atomic<std::uint64_t>& global() {
-    static std::atomic<std::uint64_t> e{0};
-    return e;
-  }
-  static std::mutex& limbo_mutex() {
-    static std::mutex m;
-    return m;
-  }
-  static std::vector<Retired>& limbo() {
-    static std::vector<Retired> l;
-    return l;
-  }
-
-  static Slot& my_slot() {
-    thread_local Slot* slot = [] {
-      Registry& r = registry();
-      const int i = r.used.fetch_add(1, std::memory_order_acq_rel);
-      // More threads than slots ever touch the registry: fall back to a
-      // leaked private slot — correctness (pins are still honoured via the
-      // registered ones being conservative) matters more than the stat.
-      return i < kMaxThreads ? &r.slots[static_cast<std::size_t>(i)]
-                             : new Slot{};
-    }();
-    return *slot;
-  }
-};
-
-/// A published, versioned value: writers install new immutable snapshots
-/// with publish(); readers acquire the current one under an Epoch::Guard.
-/// The displaced snapshot is retired (not freed) so in-flight readers that
-/// already pinned an older epoch keep a stable view — writers never block
-/// readers, and readers never block writers.
-template <typename T>
-class Versioned {
- public:
-  Versioned() = default;
-  explicit Versioned(std::shared_ptr<const T> initial)
-      : cur_(std::move(initial)) {}
-
-  /// Install `next` as the current version; the previous version is parked
-  /// in the epoch limbo for deterministic retirement.
-  void publish(std::shared_ptr<const T> next) {
-    std::shared_ptr<const T> old;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      old = std::move(cur_);
-      cur_ = std::move(next);
-      ++version_;
-    }
-    Epoch::retire(std::shared_ptr<const void>(old, old.get()));
-  }
-
-  /// Acquire the current version. Callers hold an Epoch::Guard across the
-  /// acquire *and* their use if they want retirement stamps to be exact;
-  /// the shared_ptr alone already guarantees liveness.
-  [[nodiscard]] std::shared_ptr<const T> acquire() const {
-    std::lock_guard<std::mutex> lk(m_);
-    return cur_;
-  }
-
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    std::lock_guard<std::mutex> lk(m_);
-    return version_;
-  }
-
- private:
-  mutable std::mutex m_;
-  std::shared_ptr<const T> cur_;
-  std::uint64_t version_ = 0;
+struct Epoch {
+  /// No-op kept for existing callers; always returns 0.
+  static std::size_t drain() noexcept { return 0; }
 };
 
 }  // namespace gb::platform

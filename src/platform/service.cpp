@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "platform/env.hpp"
-#include "platform/epoch.hpp"
 #include "platform/memory.hpp"
 #include "platform/parallel.hpp"
 
@@ -269,12 +268,9 @@ ServiceStats Service::stats() const {
   return stats_;
 }
 
-std::size_t Service::quiesce() {
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    idle_cv_.wait(lk, [&] { return queue_.empty() && running_.empty(); });
-  }
-  return Epoch::drain();
+void Service::quiesce() {
+  std::unique_lock<std::mutex> lk(m_);
+  idle_cv_.wait(lk, [&] { return queue_.empty() && running_.empty(); });
 }
 
 void Service::stop() {
@@ -311,7 +307,6 @@ void Service::stop() {
   workers_.clear();
   if (watchdog_.joinable()) watchdog_.join();
   idle_cv_.notify_all();
-  Epoch::drain();
 }
 
 void Service::finish(const std::shared_ptr<Ticket::Request>& r, State s,
@@ -408,6 +403,7 @@ void Service::worker_loop() {
         ++stats_.cancelled;
         lk.unlock();
         finish(r, State::cancelled, nullptr);
+        r->job = nullptr;
         idle_cv_.notify_all();
         continue;
       }
@@ -433,9 +429,6 @@ void Service::worker_loop() {
     State final = State::done;
     std::exception_ptr err;
     try {
-      // Pin the epoch for the whole execution: any snapshot this request
-      // acquired stays out of the drainable limbo until it finishes.
-      Epoch::Guard pin;
       const bool self_gov = r->batch ? r->batch->self_governed
                                      : r->self_governed;
       if (!self_gov) {
@@ -495,10 +488,16 @@ void Service::worker_loop() {
         }
       }
     }
-    if (r->batch)
+    // Drop the job once its clients are woken: its captures (a graph
+    // snapshot, say) must not outlive the run until release, and freeing
+    // them after finish keeps the free off the request's latency.
+    if (r->batch) {
       finish_members(r->batch, final, err);
-    else
+      r->batch->job = nullptr;
+    } else {
       finish(r, final, err);
+      r->job = nullptr;
+    }
     idle_cv_.notify_all();
   }
 }

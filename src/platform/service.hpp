@@ -209,9 +209,8 @@ class Service {
   [[nodiscard]] ServiceStats stats() const;
 
   /// Block until no request is queued or running (new submits may still
-  /// arrive afterwards); then drain the epoch limbo so retired snapshots
-  /// free deterministically. Returns the number of snapshots freed.
-  std::size_t quiesce();
+  /// arrive afterwards).
+  void quiesce();
 
   /// Stop accepting work, cancel queued requests, join workers + watchdog.
   /// Idempotent; the destructor calls it.

@@ -4,6 +4,7 @@
 // pass — per-chunk buffers concatenated in order, no shared accumulators.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -138,12 +139,13 @@ TEST(Parallel, ChunkHelperCoversRangeExactlyOnce) {
   // Degenerate shapes.
   gb::platform::parallel_for_chunks(0, 4, [&](std::size_t, std::size_t,
                                               std::size_t) { FAIL(); });
-  int calls = 0;
+  // Chunks run concurrently, so the tally must be atomic.
+  std::atomic<int> calls{0};
   gb::platform::parallel_for_chunks(
       3, 10, [&](std::size_t, std::size_t lo, std::size_t hi) {
         calls += static_cast<int>(hi - lo);
       });
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
 }
 
 TEST(Parallel, ExclusiveScanComputesPointerArray) {

@@ -377,7 +377,7 @@ TEST(Runner, SlicedRunMatchesStraightThrough) {
 
 TEST(Runner, LadderThenRetriesRecoverFromTightBudget) {
   // 2 KiB per slice cannot hold even one iteration's temporaries, so the
-  // first slices trip out_of_memory; the ladder climbs its three rungs,
+  // first slices trip out_of_memory; the ladder climbs its two rungs,
   // then retries escalate the budget until an attempt fits. The recovered
   // answer must equal an unconstrained run.
   auto g = ring(128);
@@ -394,7 +394,7 @@ TEST(Runner, LadderThenRetriesRecoverFromTightBudget) {
   });
   ASSERT_FALSE(lagraph::is_interruption(res.stop));
   EXPECT_FALSE(runner.report().gave_up);
-  EXPECT_EQ(runner.report().degradations, 3);
+  EXPECT_EQ(runner.report().degradations, 2);
   EXPECT_GE(runner.report().retries, 1);
   EXPECT_EQ(tuples(res.rank), tuples(base.rank));
 }
@@ -414,7 +414,7 @@ TEST(Runner, GivesUpWhenBudgetNeverFits) {
   });
   EXPECT_EQ(res.stop, StopReason::out_of_memory);
   EXPECT_TRUE(runner.report().gave_up);
-  EXPECT_EQ(runner.report().degradations, 3);
+  EXPECT_EQ(runner.report().degradations, 2);
   EXPECT_EQ(runner.report().retries, 2);
 }
 

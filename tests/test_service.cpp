@@ -26,6 +26,7 @@
 #endif
 
 #include "capi/graphblas_c.h"
+#include "capi/lagraph_c.h"
 #include "graphblas/graphblas.hpp"
 #include "lagraph/lagraph.hpp"
 #include "lagraph/runner.hpp"
@@ -33,7 +34,6 @@
 #include "lagraph/util/generator.hpp"
 #include "platform/alloc.hpp"
 #include "platform/env.hpp"
-#include "platform/epoch.hpp"
 #include "platform/governor.hpp"
 #include "platform/memory.hpp"
 #include "platform/parallel.hpp"
@@ -41,7 +41,6 @@
 
 using gb::Index;
 using gb::platform::CancelledError;
-using gb::platform::Epoch;
 using gb::platform::Governor;
 using gb::platform::GovernorScope;
 using gb::platform::MemoryMeter;
@@ -50,7 +49,6 @@ using gb::platform::ScopedFailAfter;
 using gb::platform::Service;
 using gb::platform::ServicePolicy;
 using gb::platform::ServiceStats;
-using gb::platform::Versioned;
 using lagraph::Graph;
 using lagraph::GraphService;
 using lagraph::ServiceJobResult;
@@ -87,53 +85,6 @@ Graph make_test_graph(std::uint64_t seed) {
 }
 
 }  // namespace
-
-// --- epoch reclamation ------------------------------------------------------
-
-TEST(Epoch, RetireWithoutReadersDrainsImmediately) {
-  Epoch::drain();  // clear anything previous tests parked
-  auto p = std::make_shared<const int>(7);
-  std::weak_ptr<const int> w = p;
-  Epoch::retire(std::shared_ptr<const void>(p, p.get()));
-  p.reset();
-  EXPECT_FALSE(w.expired());  // parked in limbo, not freed
-  EXPECT_GE(Epoch::drain(), std::size_t{1});
-  EXPECT_TRUE(w.expired());
-}
-
-TEST(Epoch, PinnedGuardBlocksDrainUntilReleased) {
-  Epoch::drain();
-  std::weak_ptr<const int> w;
-  {
-    Epoch::Guard pin;  // pinned *before* the retirement stamp
-    auto p = std::make_shared<const int>(42);
-    w = p;
-    Epoch::retire(std::shared_ptr<const void>(p, p.get()));
-    p.reset();
-    EXPECT_EQ(Epoch::drain(), std::size_t{0});  // reader still pinned
-    EXPECT_FALSE(w.expired());
-  }
-  EXPECT_GE(Epoch::drain(), std::size_t{1});
-  EXPECT_TRUE(w.expired());
-}
-
-TEST(Epoch, VersionedPublishKeepsPinnedReadersStable) {
-  Epoch::drain();
-  Versioned<int> cell;
-  cell.publish(std::make_shared<const int>(1));
-  EXPECT_EQ(cell.version(), 1u);
-
-  Epoch::Guard pin;
-  auto v1 = cell.acquire();
-  ASSERT_NE(v1, nullptr);
-  EXPECT_EQ(*v1, 1);
-
-  cell.publish(std::make_shared<const int>(2));
-  EXPECT_EQ(cell.version(), 2u);
-  EXPECT_EQ(*v1, 1);                 // old acquisition untouched
-  EXPECT_EQ(*cell.acquire(), 2);     // new readers see the new version
-  EXPECT_GE(Epoch::limbo_size(), std::size_t{1});
-}
 
 // --- freeze / snapshot substrate --------------------------------------------
 
@@ -451,10 +402,6 @@ TEST(GraphService, SubmissionPinsTheVersionCurrentAtSubmitTime) {
   const ServiceJobResult& res2 =
       svc.wait(svc.submit_algorithm("pagerank", "g", 0));
   EXPECT_EQ(std::make_pair(res2.idx, res2.vals), v2_truth);
-
-  // Retirement is deterministic: quiesce drains the displaced v1 snapshot.
-  svc.quiesce();
-  EXPECT_EQ(Epoch::limbo_size(), std::size_t{0});
 }
 
 TEST(GraphService, EightClientSoakIsBitIdenticalToSerial) {
@@ -524,7 +471,6 @@ TEST(GraphService, ConcurrentRepublishNeverDisturbsInFlightReaders) {
   std::thread writer([&] {
     for (int i = 0; !stop_writer.load(); ++i) {
       svc.publish("other", make_test_graph(1000 + i));
-      svc.drain_retired();
     }
   });
   std::atomic<int> mismatches{0};
@@ -541,6 +487,132 @@ TEST(GraphService, ConcurrentRepublishNeverDisturbsInFlightReaders) {
   stop_writer.store(true);
   writer.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- version retirement ------------------------------------------------------
+
+namespace {
+
+/// Poll until `w` expires or `limit_ms` passes. A worker drops a finished
+/// job's captures just after it wakes the job's waiters, so expiry can trail
+/// wait() by a moment.
+template <class T>
+bool expires_within(const std::weak_ptr<T>& w, double limit_ms) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double, std::milli>(limit_ms);
+  while (!w.expired()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    sleep_ms(0.5);
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(GraphService, DisplacedVersionIsFreedWhenItsLastJobFinishes) {
+  GraphService::Options opts;
+  opts.service.workers = 1;
+  GraphService svc(opts);
+  svc.publish("g", make_test_graph(21));
+  std::weak_ptr<const Graph> v1 = svc.snapshot("g");
+
+  // Two jobs hold v1: a query parked on a gate (it occupies the lone
+  // worker) and a bfs queued behind it.
+  std::atomic<bool> gate{false};
+  const std::uint64_t parked =
+      svc.submit("g", [&](const Graph& g, gb::platform::Governor&) {
+        while (!gate.load()) sleep_ms(0.2);
+        ServiceJobResult r;
+        r.n = g.adj().nrows();
+        return r;
+      });
+  const std::uint64_t queued = svc.submit_algorithm("bfs", "g", 0);
+
+  svc.publish("g", make_test_graph(99));
+  EXPECT_EQ(svc.version("g"), 2u);
+  EXPECT_FALSE(v1.expired());  // the service let go, its jobs did not
+
+  gate.store(true);
+  svc.wait(parked);
+  svc.wait(queued);
+  // No drain call and no release: finishing the last job frees v1.
+  EXPECT_TRUE(expires_within(v1, 10000.0));
+  svc.release(parked);
+  svc.release(queued);
+}
+
+TEST(GraphService, CRepublishUnderLoadKeepsMemoryBounded) {
+  // Two graphs of the same shape, built through the C API.
+  constexpr Index kN = 1024;
+  GrB_Matrix m[2] = {nullptr, nullptr};
+  for (int k = 0; k < 2; ++k) {
+    const gb::Matrix<double> src = lagraph::randomize_weights(
+        lagraph::erdos_renyi(kN, 8 * kN, 7 + k), 0.5, 2.0, 7 + k);
+    std::vector<Index> r, c;
+    std::vector<double> v;
+    src.extract_tuples(r, c, v);
+    ASSERT_EQ(GrB_Matrix_new(&m[k], kN, kN), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Matrix_build_FP64(m[k], r.data(), c.data(), v.data(),
+                                    r.size(), GrB_PLUS_FP64),
+              GrB_SUCCESS);
+  }
+
+  LAGraph_Service s = nullptr;
+  ASSERT_EQ(LAGraph_Service_new(&s, 2, 64, 0, 0, 0, 0), GrB_SUCCESS);
+  const std::size_t before = MemoryMeter::current_bytes();
+  ASSERT_EQ(LAGraph_Service_publish(s, "g", m[0]), GrB_SUCCESS);
+  const std::size_t level = MemoryMeter::current_bytes();
+  ASSERT_GT(level, before);
+  const std::size_t version_bytes = level - before;
+
+  // Two clients keep submitting and waiting while the versions alternate.
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      GrB_Vector out = nullptr;
+      if (GrB_Vector_new(&out, kN) != GrB_SUCCESS) {
+        errors.fetch_add(1);
+        return;
+      }
+      const char* algo = c == 0 ? "bfs" : "sssp";
+      for (GrB_Index src = 0; !done.load(); src = (src + 1) % kN) {
+        std::uint64_t id = 0;
+        if (LAGraph_Service_submit(s, algo, "g", src, &id) != GrB_SUCCESS ||
+            LAGraph_Service_wait(out, s, id) != GrB_SUCCESS ||
+            LAGraph_Service_release(s, id) != GrB_SUCCESS) {
+          errors.fetch_add(1);
+        }
+      }
+      GrB_Vector_free(&out);
+    });
+  }
+
+  // Live at most: the current version, one being published, and one held
+  // by each client's in-flight job; twice that is still "a few versions".
+  const std::size_t bound = level + 6 * version_bytes;
+  std::size_t high = level;
+  int published = 1;
+  for (; published <= 100; ++published) {
+    if (LAGraph_Service_publish(s, "g", m[published % 2]) != GrB_SUCCESS) {
+      break;
+    }
+    high = std::max(high, MemoryMeter::current_bytes());
+  }
+  done.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(published, 101) << "a republish failed";
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_LE(high, bound) << "version bytes " << version_bytes << ", level "
+                         << level;
+  std::uint64_t version = 0;
+  ASSERT_EQ(LAGraph_Service_version(s, "g", &version), GrB_SUCCESS);
+  EXPECT_EQ(version, 101u);
+
+  EXPECT_EQ(LAGraph_Service_free(&s), GrB_SUCCESS);
+  GrB_Matrix_free(&m[0]);
+  GrB_Matrix_free(&m[1]);
 }
 
 TEST(GraphService, SubmitPathSurvivesAllocFaultInjection) {
