@@ -38,3 +38,21 @@ struct GxB_Context_opaque {
 /// gb::Info -> GrB_Info conversion shared by the GraphBLAS and LAGraph
 /// front ends (defined in graphblas_c.cpp).
 GrB_Info capi_map_info(gb::Info info) noexcept;
+
+/// The exception -> GrB_Info ladder of §II-B, shared by the GraphBLAS and
+/// LAGraph front ends (defined in graphblas_c.cpp). Call it only from inside
+/// a catch block: it rethrows the exception in flight to classify it. When
+/// `what` is non-null it receives the failure message, which lives in the
+/// exception object and so only until that catch block exits.
+GrB_Info capi_exception_info(const char** what) noexcept;
+
+/// Run `f` (which returns a GrB_Info) so that no C++ exception crosses the C
+/// ABI: a throw becomes its GrB_Info code.
+template <class F>
+GrB_Info capi_guarded(F&& f) noexcept {
+  try {
+    return f();
+  } catch (...) {
+    return capi_exception_info(nullptr);
+  }
+}

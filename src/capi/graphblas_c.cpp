@@ -40,56 +40,14 @@ GrB_Info capi_map_info(gb::Info info) noexcept {
   return GrB_PANIC;
 }
 
-namespace {
-
-const GrB_Index grb_all_sentinel = ~GrB_Index{0};
-
-GrB_Info map_info(gb::Info info) { return capi_map_info(info); }
-
-/// The context engaged on this thread (GxB_Context_engage), if any. Each
-/// guarded call arms it for the call's duration so a per-call timeout and
-/// memory budget are measured from the call boundary, not from engage time.
-thread_local GxB_Context_opaque* engaged_context = nullptr;
-
-/// Execution-error conversion: the try/catch wrapper of §II-B, with the
-/// failure message recorded on `obj` for later GrB_error retrieval. `obj`
-/// may be null (object under construction); recording is best-effort and
-/// swallows its own allocation failures so the Info code always survives.
-template <class Obj, class F>
-GrB_Info guarded_at(Obj* obj, F&& f) {
-  GrB_Info info;
-  const char* msg = nullptr;
-  std::string text;
+GrB_Info capi_exception_info(const char** what) noexcept {
+  GrB_Info info = GrB_PANIC;
+  const char* msg = "unexpected exception";
   try {
-    // Install + arm the engaged governor (no-op when none is engaged). The
-    // scope also re-captures the wall-clock deadline and memory baseline at
-    // this call boundary, making timeout/budget per-call quantities.
-    gb::platform::GovernorScope governed(
-        engaged_context ? &engaged_context->gov : nullptr);
-    info = f();
-    if (obj) {
-      if (info == GrB_SUCCESS || info == GrB_NO_VALUE) {
-        obj->err.clear();
-      } else {
-        try {
-          obj->err = "call failed with GrB_Info code ";
-          obj->err += std::to_string(static_cast<int>(info));
-        } catch (...) {
-        }
-      }
-    }
-    return info;
+    throw;
   } catch (const gb::Error& e) {
-    // Copy what() into `text` before the handler exits: the exception
-    // object (and the storage behind its message) dies with the catch
-    // block, but `msg` is consumed after it.
-    info = map_info(e.info());
-    try {
-      text = e.what();
-      msg = text.c_str();
-    } catch (...) {
-      msg = "error message lost (out of memory)";
-    }
+    info = capi_map_info(e.info());
+    msg = e.what();
   } catch (const std::bad_alloc&) {
     // Includes gb::platform::BudgetError: a tripped memory budget is an
     // out-of-memory condition by design, and rides the same strong-exception
@@ -98,45 +56,69 @@ GrB_Info guarded_at(Obj* obj, F&& f) {
     msg = "out of memory";
   } catch (const gb::platform::CancelledError& e) {
     info = GxB_CANCELLED;
-    try {
-      text = e.what();
-      msg = text.c_str();
-    } catch (...) {
-      msg = "cancelled";
-    }
+    msg = e.what();
   } catch (const gb::platform::TimeoutError& e) {
     info = GxB_TIMEOUT;
-    try {
-      text = e.what();
-      msg = text.c_str();
-    } catch (...) {
-      msg = "timed out";
-    }
+    msg = e.what();
   } catch (const gb::platform::OverloadedError& e) {
     info = GxB_OVERLOADED;
-    try {
-      text = e.what();
-      msg = text.c_str();
-    } catch (...) {
-      msg = "overloaded";
-    }
+    msg = e.what();
   } catch (const std::overflow_error& e) {
     // Platform-layer arithmetic guards (e.g. exclusive_scan's pointer-sum
     // check) sit below the gb::Error types; map them here.
     info = GrB_INDEX_OUT_OF_BOUNDS;
-    try {
-      text = e.what();
-      msg = text.c_str();
-    } catch (...) {
-      msg = "error message lost (out of memory)";
-    }
+    msg = e.what();
   } catch (...) {
-    info = GrB_PANIC;
-    msg = "unexpected exception";
   }
-  if (obj && msg) {
+  if (what) *what = msg;
+  return info;
+}
+
+namespace {
+
+const GrB_Index grb_all_sentinel = ~GrB_Index{0};
+
+/// The context engaged on this thread (GxB_Context_engage), if any. Each
+/// guarded call arms it for the call's duration so a per-call timeout and
+/// memory budget are measured from the call boundary, not from engage time.
+thread_local GxB_Context_opaque* engaged_context = nullptr;
+
+/// Execution-error conversion: the try/catch wrapper of §II-B
+/// (capi_exception_info), with the failure message recorded on `obj` for
+/// later GrB_error retrieval. `obj` may be null (object under construction);
+/// recording is best-effort and swallows its own allocation failures so the
+/// Info code always survives.
+template <class Obj, class F>
+GrB_Info guarded_at(Obj* obj, F&& f) {
+  GrB_Info info;
+  try {
+    // Install + arm the engaged governor (no-op when none is engaged). The
+    // scope also re-captures the wall-clock deadline and memory baseline at
+    // this call boundary, making timeout/budget per-call quantities.
+    gb::platform::GovernorScope governed(
+        engaged_context ? &engaged_context->gov : nullptr);
+    info = f();
+  } catch (...) {
+    const char* what = nullptr;
+    info = capi_exception_info(&what);
+    // Record inside the handler: `what` dies with the exception object.
+    if (obj) {
+      try {
+        obj->err = what;
+      } catch (...) {
+        obj->err.clear();
+      }
+    }
+    return info;
+  }
+  if (obj) {
     try {
-      obj->err = msg;
+      if (info == GrB_SUCCESS || info == GrB_NO_VALUE) {
+        obj->err.clear();
+      } else {
+        obj->err = "call failed with GrB_Info code ";
+        obj->err += std::to_string(static_cast<int>(info));
+      }
     } catch (...) {
     }
   }
@@ -294,7 +276,7 @@ GrB_Info check_input(GrB_Matrix a) {
     a->err = r.message;
   } catch (...) {
   }
-  return map_info(r.info);
+  return capi_map_info(r.info);
 }
 
 GrB_Info check_input(GrB_Vector v) {
@@ -305,7 +287,7 @@ GrB_Info check_input(GrB_Vector v) {
     v->err = r.message;
   } catch (...) {
   }
-  return map_info(r.info);
+  return capi_map_info(r.info);
 }
 
 /// First failing object wins (left to right: mask, then operands).

@@ -2,11 +2,12 @@
 // lagraph::Runner plus driven entry points for the resumable algorithms.
 //
 // Same architecture as graphblas_c.cpp (§II-B): the body of every function
-// is wrapped so no C++ exception crosses the C ABI; exceptions map to the
-// GrB_Info execution codes. A driven run that the governor stopped (and the
-// Runner gave up on) reports the trip as GxB_CANCELLED / GxB_TIMEOUT /
-// GrB_OUT_OF_MEMORY but still writes the partial result into the output
-// handle — the caller decides whether partial progress is usable.
+// is wrapped (capi_guarded) so no C++ exception crosses the C ABI;
+// exceptions map to the GrB_Info execution codes through the same ladder.
+// A driven run that the governor stopped (and the Runner gave up on)
+// reports the trip as GxB_CANCELLED / GxB_TIMEOUT / GrB_OUT_OF_MEMORY but
+// still writes the partial result into the output handle — the caller
+// decides whether partial progress is usable.
 #include "capi/lagraph_c.h"
 
 #include <cstdint>
@@ -75,38 +76,6 @@ auto driven(LAGraph_Runner r, GrB_Matrix a, D&& driver) {
       [&](const Checkpoint* cp) { return driver(g, cp); });
 }
 
-/// The C vector is FP64-backed: convert a typed result (hop counts, vertex
-/// ids, colors — integers a double holds exactly below 2^53).
-template <class T>
-gb::Vector<double> to_fp64(const gb::Vector<T>& v) {
-  std::vector<gb::Index> idx;
-  std::vector<T> typed;
-  v.extract_tuples(idx, typed);
-  std::vector<double> vals(typed.begin(), typed.end());
-  gb::Vector<double> out(v.size());
-  out.build(idx, vals, gb::Second{});
-  return out;
-}
-
-template <class F>
-GrB_Info guarded(F&& f) {
-  try {
-    return f();
-  } catch (const gb::platform::CancelledError&) {
-    return GxB_CANCELLED;
-  } catch (const gb::platform::TimeoutError&) {
-    return GxB_TIMEOUT;
-  } catch (const gb::platform::OverloadedError&) {
-    return GxB_OVERLOADED;
-  } catch (const gb::Error& e) {
-    return capi_map_info(e.info());
-  } catch (const std::bad_alloc&) {
-    return GrB_OUT_OF_MEMORY;
-  } catch (...) {
-    return GrB_PANIC;
-  }
-}
-
 }  // namespace
 
 extern "C" {
@@ -159,7 +128,7 @@ GrB_Info LAGraph_Runner_set_retry(LAGraph_Runner r, int max_attempts,
 GrB_Info LAGraph_Runner_set_checkpoint_path(LAGraph_Runner r,
                                             const char* path) {
   if (r == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     r->runner.options().checkpoint_path = path != nullptr ? path : "";
     return GrB_SUCCESS;
   });
@@ -190,11 +159,11 @@ GrB_Info LAGraph_Runner_pagerank(GrB_Vector rank, LAGraph_Runner r,
   if (rank == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::pagerank(g, damping, tol, max_iters, cp);
     });
-    rank->v = std::move(res.rank);
+    rank->v = lagraph::to_fp64(std::move(res.rank));
     if (iterations != nullptr) *iterations = res.iterations;
     return trip_code(res.stop);
   });
@@ -205,12 +174,12 @@ GrB_Info LAGraph_Runner_bfs_level(GrB_Vector level, LAGraph_Runner r,
   if (level == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::bfs(g, static_cast<gb::Index>(source),
                           lagraph::BfsVariant::direction_optimizing, cp);
     });
-    level->v = to_fp64(res.level);
+    level->v = lagraph::to_fp64(std::move(res.level));
     return trip_code(res.stop);
   });
 }
@@ -221,13 +190,12 @@ GrB_Info LAGraph_Runner_sssp_bellman_ford(GrB_Vector dist, LAGraph_Runner r,
   if (dist == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::sssp_bellman_ford(g, static_cast<gb::Index>(source),
                                         cp);
     });
-    // SSSP distances are FP64 already: the result vector moves straight in.
-    dist->v = std::move(res.dist);
+    dist->v = lagraph::to_fp64(std::move(res.dist));
     if (iterations != nullptr) *iterations = res.iterations;
     return trip_code(res.stop);
   });
@@ -238,11 +206,11 @@ GrB_Info LAGraph_Runner_cc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
   if (labels == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::connected_components_run(g, cp);
     });
-    labels->v = to_fp64(res.labels);
+    labels->v = lagraph::to_fp64(std::move(res.labels));
     if (rounds != nullptr) *rounds = res.rounds;
     return trip_code(res.stop);
   });
@@ -254,11 +222,11 @@ GrB_Info LAGraph_Runner_mcl(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
   if (labels == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::mcl(g, inflation, max_iters, prune, cp);
     });
-    labels->v = to_fp64(res.labels);
+    labels->v = lagraph::to_fp64(std::move(res.labels));
     if (iterations != nullptr) *iterations = res.iterations;
     return trip_code(res.stop);
   });
@@ -270,11 +238,11 @@ GrB_Info LAGraph_Runner_peer_pressure(GrB_Vector labels, LAGraph_Runner r,
   if (labels == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::peer_pressure(g, max_iters, cp);
     });
-    labels->v = to_fp64(res.labels);
+    labels->v = lagraph::to_fp64(std::move(res.labels));
     if (iterations != nullptr) *iterations = res.iterations;
     return trip_code(res.stop);
   });
@@ -287,13 +255,12 @@ GrB_Info LAGraph_Runner_bc(GrB_Vector centrality, LAGraph_Runner r,
     return GrB_NULL_POINTER;
   }
   if (sources == nullptr && nsources != 0) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     std::vector<gb::Index> srcs(sources, sources + nsources);
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::betweenness_run(g, srcs, cp);
     });
-    // Centrality scores are FP64 already: the result moves straight in.
-    centrality->v = std::move(res.centrality);
+    centrality->v = lagraph::to_fp64(std::move(res.centrality));
     return trip_code(res.stop);
   });
 }
@@ -305,13 +272,12 @@ GrB_Info LAGraph_Runner_sssp_delta_stepping(GrB_Vector dist, LAGraph_Runner r,
   if (dist == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::sssp_delta_stepping(g, static_cast<gb::Index>(source),
                                           delta, cp);
     });
-    // Distances are FP64 already: the result vector moves straight in.
-    dist->v = std::move(res.dist);
+    dist->v = lagraph::to_fp64(std::move(res.dist));
     if (iterations != nullptr) *iterations = res.iterations;
     return trip_code(res.stop);
   });
@@ -322,11 +288,11 @@ GrB_Info LAGraph_Runner_scc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
   if (labels == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::strongly_connected_components_run(g, cp);
     });
-    labels->v = to_fp64(res.labels);
+    labels->v = lagraph::to_fp64(std::move(res.labels));
     if (pivots != nullptr) *pivots = res.pivots;
     return trip_code(res.stop);
   });
@@ -338,11 +304,11 @@ GrB_Info LAGraph_Runner_coloring(GrB_Vector colors, LAGraph_Runner r,
   if (colors == nullptr || r == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     auto res = driven(r, a, [&](const Graph& g, const Checkpoint* cp) {
       return lagraph::coloring_run(g, seed, cp);
     });
-    colors->v = to_fp64(res.colors);
+    colors->v = lagraph::to_fp64(std::move(res.colors));
     if (rounds != nullptr) *rounds = static_cast<int32_t>(res.rounds);
     return trip_code(res.stop);
   });
@@ -367,7 +333,7 @@ GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
   if (s == nullptr) return GrB_NULL_POINTER;
   if (workers < 1 || batch_window_us < 0) return GrB_INVALID_VALUE;
   *s = nullptr;
-  return guarded([&] {
+  return capi_guarded([&] {
     lagraph::GraphService::Options opts;
     opts.service.workers = workers;
     opts.service.queue_limit = static_cast<std::size_t>(queue_limit);
@@ -388,7 +354,7 @@ GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
 
 GrB_Info LAGraph_Service_free(LAGraph_Service* s) {
   if (s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     delete *s;
     *s = nullptr;
     return GrB_SUCCESS;
@@ -400,7 +366,7 @@ GrB_Info LAGraph_Service_publish(LAGraph_Service s, const char* name,
   if (s == nullptr || name == nullptr || a == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     gb::Matrix<double> adj = a->m.dup();
     s->service.publish(name,
                        lagraph::Graph(std::move(adj), lagraph::Kind::directed));
@@ -413,7 +379,7 @@ GrB_Info LAGraph_Service_version(LAGraph_Service s, const char* name,
   if (s == nullptr || name == nullptr || version == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     *version = s->service.version(name);
     return GrB_SUCCESS;
   });
@@ -426,7 +392,7 @@ GrB_Info LAGraph_Service_submit(LAGraph_Service s, const char* algo,
       job_id == nullptr) {
     return GrB_NULL_POINTER;
   }
-  return guarded([&] {
+  return capi_guarded([&] {
     *job_id = s->service.submit_algorithm(algo, graph,
                                           static_cast<std::uint64_t>(arg));
     return GrB_SUCCESS;
@@ -436,7 +402,7 @@ GrB_Info LAGraph_Service_submit(LAGraph_Service s, const char* algo,
 GrB_Info LAGraph_Service_poll(LAGraph_Service s, uint64_t job_id,
                               LAGraph_JobState* state) {
   if (s == nullptr || state == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     switch (s->service.poll(job_id)) {
       case gb::platform::Service::State::queued:
         *state = LAGraph_JOB_QUEUED;
@@ -461,18 +427,17 @@ GrB_Info LAGraph_Service_poll(LAGraph_Service s, uint64_t job_id,
 GrB_Info LAGraph_Service_wait(GrB_Vector result, LAGraph_Service s,
                               uint64_t job_id) {
   if (result == nullptr || s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
+    // The job stays readable until release, so its vector is copied.
     const lagraph::ServiceJobResult& res = s->service.wait(job_id);
-    gb::Vector<double> out(res.n);
-    out.build(res.idx, res.vals, gb::Second{});
-    result->v = std::move(out);
+    result->v = res.vector;
     return trip_code(res.stop);
   });
 }
 
 GrB_Info LAGraph_Service_cancel(LAGraph_Service s, uint64_t job_id) {
   if (s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     s->service.cancel(job_id);
     return GrB_SUCCESS;
   });
@@ -480,7 +445,7 @@ GrB_Info LAGraph_Service_cancel(LAGraph_Service s, uint64_t job_id) {
 
 GrB_Info LAGraph_Service_release(LAGraph_Service s, uint64_t job_id) {
   if (s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     s->service.release(job_id);
     return GrB_SUCCESS;
   });
@@ -492,7 +457,7 @@ GrB_Info LAGraph_Service_stats(LAGraph_Service s, uint64_t* submitted,
                                uint64_t* watchdog_cancels,
                                uint64_t* queue_depth, uint64_t* running) {
   if (s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     const gb::platform::ServiceStats st = s->service.stats();
     if (submitted != nullptr) *submitted = st.submitted;
     if (shed != nullptr) *shed = st.shed;
@@ -509,7 +474,7 @@ GrB_Info LAGraph_Service_stats(LAGraph_Service s, uint64_t* submitted,
 GrB_Info LAGraph_Service_batch_stats(LAGraph_Service s, uint64_t* batches,
                                      uint64_t* batched_requests) {
   if (s == nullptr) return GrB_NULL_POINTER;
-  return guarded([&] {
+  return capi_guarded([&] {
     const gb::platform::ServiceStats st = s->service.stats();
     if (batches != nullptr) *batches = st.batches;
     if (batched_requests != nullptr) *batched_requests = st.batched_requests;

@@ -195,12 +195,16 @@ GrB_Info LAGraph_Service_version(LAGraph_Service s, const char* name,
                                  uint64_t* version);
 
 /* Submit an algorithm job against the current snapshot of `graph`:
- * algo is "pagerank" (arg unused), "bfs" (arg = source), "sssp"
- * (arg = source, Bellman-Ford), "cc" / "scc" (arg unused, component labels)
- * or "coloring" (arg = seed). On admission *job_id receives the handle for
- * poll/wait/cancel. Returns GxB_OVERLOADED when the service sheds the
- * request (queue full or memory pressure) — nothing was enqueued and the
- * service remains serviceable. */
+ * algo is "pagerank" (arg unused; damping 0.85, tol 1e-9, 100 iterations),
+ * "bfs" (arg = source, hop levels), "sssp" (arg = source, Bellman-Ford
+ * distances), "cc" / "scc" (arg unused, component labels) or "coloring"
+ * (arg = seed, 1-based colors). Each result matches its LAGraph_Runner_*
+ * call bit for bit. On admission *job_id receives the handle for
+ * poll/wait/cancel. Returns GrB_INVALID_VALUE for an unknown algorithm or
+ * graph name, GrB_INVALID_INDEX for a source outside the graph (a seed is
+ * never checked), and GxB_OVERLOADED when the service sheds the request
+ * (queue full or memory pressure) — nothing was enqueued and the service
+ * remains serviceable. */
 GrB_Info LAGraph_Service_submit(LAGraph_Service s, const char* algo,
                                 const char* graph, GrB_Index arg,
                                 uint64_t* job_id);
@@ -209,11 +213,13 @@ GrB_Info LAGraph_Service_submit(LAGraph_Service s, const char* algo,
 GrB_Info LAGraph_Service_poll(LAGraph_Service s, uint64_t job_id,
                               LAGraph_JobState* state);
 
-/* Block until the job is terminal and write its result vector. A run the
- * governor stopped returns the trip code (GxB_CANCELLED / GxB_TIMEOUT /
- * GrB_OUT_OF_MEMORY) and still writes the partial result; a failed job
- * returns its mapped error code. The job record stays until
- * LAGraph_Service_release. */
+/* Block until the job is terminal and copy its result vector into
+ * `result` (resized to the graph's dimension, even for a job cancelled
+ * before it ran). A run the governor stopped returns the trip code
+ * (GxB_CANCELLED / GxB_TIMEOUT / GrB_OUT_OF_MEMORY) and still writes the
+ * partial result; a failed job returns its mapped error code. The job
+ * record stays until LAGraph_Service_release, so waiting again gives the
+ * same vector. */
 GrB_Info LAGraph_Service_wait(GrB_Vector result, LAGraph_Service s,
                               uint64_t job_id);
 

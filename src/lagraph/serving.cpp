@@ -1,7 +1,10 @@
 #include "lagraph/serving.hpp"
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "lagraph/lagraph.hpp"
 
@@ -11,46 +14,8 @@ namespace {
 
 using BatchView = gb::platform::Service::BatchView;
 
-/// Flatten a result vector into the job's (idx, vals) arrays.
-template <class VecT>
-void store_vector(const VecT& v, ServiceJobResult& out) {
-  std::vector<gb::Index> idx;
-  std::vector<typename VecT::value_type> vals;
-  v.extract_tuples(idx, vals);
-  out.idx = std::move(idx);
-  out.vals.assign(vals.begin(), vals.end());
-  out.n = v.size();
-}
-
-/// De-batch a (k x n) result matrix: row r belongs to batch member
-/// member_of_row[r]. Tuples come out row-major sorted, so this is one pass.
-/// Members cancelled after dispatch are skipped (the service finishes them
-/// State::cancelled; their payload is left untouched).
-template <class T>
-void scatter_rows(const gb::Matrix<T>& m,
-                  const std::vector<std::size_t>& member_of_row,
-                  const BatchView& view, StopReason stop) {
-  const gb::Index n = m.ncols();
-  const std::uint64_t live = member_of_row.size();
-  for (std::size_t member : member_of_row) {
-    if (view.cancelled(member)) continue;
-    auto* out = static_cast<ServiceJobResult*>(view.payload(member));
-    out->idx.clear();
-    out->vals.clear();
-    out->n = n;
-    out->stop = stop;
-    out->batch_size = live;
-  }
-  std::vector<gb::Index> ri, ci;
-  std::vector<T> vi;
-  m.extract_tuples(ri, ci, vi);
-  for (std::size_t t = 0; t < ri.size(); ++t) {
-    const std::size_t member = member_of_row[static_cast<std::size_t>(ri[t])];
-    if (view.cancelled(member)) continue;
-    auto* out = static_cast<ServiceJobResult*>(view.payload(member));
-    out->idx.push_back(ci[t]);
-    out->vals.push_back(static_cast<double>(vi[t]));
-  }
+ServiceJobResult* payload(const BatchView& view, std::size_t member) {
+  return static_cast<ServiceJobResult*>(view.payload(member));
 }
 
 /// The live members of a batch and the source each contributes: row r of the
@@ -70,6 +35,116 @@ BatchRows collect_rows(const BatchView& view) {
     rows.member_of_row.push_back(i);
   }
   return rows;
+}
+
+/// De-batch a (k x n) result matrix: row r becomes the result vector of
+/// member rows.member_of_row[r] (GrB_Col_extract on the transpose: O(row),
+/// no sort). Members cancelled after dispatch are skipped (the service
+/// finishes them State::cancelled; their payload is left untouched).
+template <class T>
+void scatter_rows(const gb::Matrix<T>& m, const BatchRows& rows,
+                  const BatchView& view, StopReason stop) {
+  const auto all = gb::IndexSel::all(m.ncols());
+  for (std::size_t r = 0; r < rows.member_of_row.size(); ++r) {
+    const std::size_t member = rows.member_of_row[r];
+    if (view.cancelled(member)) continue;
+    ServiceJobResult* out = payload(view, member);
+    gb::extract_col(out->vector, gb::no_mask, gb::no_accum, m, all,
+                    static_cast<gb::Index>(r), gb::desc_t0);
+    out->stop = stop;
+    out->batch_size = rows.member_of_row.size();
+  }
+}
+
+/// One served algorithm: the only place its name appears.
+struct ServedAlgorithm {
+  const char* name;
+  /// `arg` is a vertex id, range-checked at submit (else a seed or unused).
+  bool arg_is_source;
+  /// The solo run: the FP64 result vector and the drive's stop code.
+  ServiceJobResult (*solo)(Runner&, const Graph&, std::uint64_t arg);
+  /// Batch mode, when batching is on. dedup: there is no per-request
+  /// argument, so one solo run serves every member. multi: drives every
+  /// live source as one row of a multi-source run and de-batches the rows.
+  /// Neither: every request runs alone.
+  bool dedup = false;
+  void (*multi)(Runner&, const Graph&, const BatchRows&,
+                const BatchView&) = nullptr;
+};
+
+const ServedAlgorithm kServed[] = {
+    {"pagerank", false,
+     [](Runner& r, const Graph& g, std::uint64_t) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return pagerank(g, 0.85, 1e-9, 100, cp);
+       });
+       return ServiceJobResult{to_fp64(std::move(out.rank)), out.stop};
+     },
+     /*dedup=*/true},
+    {"bfs", true,
+     [](Runner& r, const Graph& g, std::uint64_t source) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return bfs(g, source, BfsVariant::direction_optimizing, cp);
+       });
+       return ServiceJobResult{to_fp64(std::move(out.level)), out.stop};
+     },
+     /*dedup=*/false,
+     [](Runner& r, const Graph& g, const BatchRows& rows,
+        const BatchView& view) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return bfs_level_ms(g, rows.sources, cp);
+       });
+       scatter_rows(out.level, rows, view, out.stop);
+     }},
+    {"sssp", true,
+     [](Runner& r, const Graph& g, std::uint64_t source) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return sssp_bellman_ford(g, source, cp);
+       });
+       return ServiceJobResult{to_fp64(std::move(out.dist)), out.stop};
+     },
+     /*dedup=*/false,
+     [](Runner& r, const Graph& g, const BatchRows& rows,
+        const BatchView& view) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return sssp_bellman_ford_ms(g, rows.sources, cp);
+       });
+       scatter_rows(out.dist, rows, view, out.stop);
+     }},
+    {"cc", false,
+     [](Runner& r, const Graph& g, std::uint64_t) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return connected_components_run(g, cp);
+       });
+       return ServiceJobResult{to_fp64(std::move(out.labels)), out.stop};
+     }},
+    {"scc", false,
+     [](Runner& r, const Graph& g, std::uint64_t) {
+       auto out = r.run([&](const Checkpoint* cp) {
+         return strongly_connected_components_run(g, cp);
+       });
+       return ServiceJobResult{to_fp64(std::move(out.labels)), out.stop};
+     }},
+    {"coloring", false,
+     [](Runner& r, const Graph& g, std::uint64_t seed) {
+       auto out = r.run(
+           [&](const Checkpoint* cp) { return coloring_run(g, seed, cp); });
+       return ServiceJobResult{to_fp64(std::move(out.colors)), out.stop};
+     }},
+};
+
+const ServedAlgorithm& served(const std::string& name) {
+  for (const ServedAlgorithm& a : kServed) {
+    if (name == a.name) return a;
+  }
+  throw gb::Error(gb::Info::invalid_value, "GraphService: unknown algorithm");
+}
+
+/// A result before its job runs: no entries, the snapshot's dimension.
+std::shared_ptr<ServiceJobResult> empty_result(const Graph& g) {
+  auto res = std::make_shared<ServiceJobResult>();
+  res->vector = gb::Vector<double>(g.adj().nrows());
+  return res;
 }
 
 }  // namespace
@@ -107,7 +182,7 @@ std::uint64_t GraphService::version(const std::string& name) const {
 
 std::uint64_t GraphService::submit(const std::string& graph, Query q) {
   auto snap = snapshot(graph);  // isolation: the version current *now*
-  auto res = std::make_shared<ServiceJobResult>();
+  auto res = empty_result(*snap);
   auto ticket = svc_.submit(
       [snap, res, q = std::move(q)](gb::platform::Governor& gov) {
         *res = q(*snap, gov);
@@ -118,20 +193,16 @@ std::uint64_t GraphService::submit(const std::string& graph, Query q) {
 std::uint64_t GraphService::submit_algorithm(const std::string& algo,
                                              const std::string& graph,
                                              std::uint64_t arg) {
-  gb::check_value(algo == "pagerank" || algo == "bfs" || algo == "sssp" ||
-                      algo == "cc" || algo == "scc" || algo == "coloring",
-                  "GraphService: unknown algorithm");
+  const ServedAlgorithm* row = &served(algo);
   auto snap = snapshot(graph);
-  auto res = std::make_shared<ServiceJobResult>();
-  RunnerOptions ropts = opts_.runner;
-  if (algo == "bfs" || algo == "sssp") {
+  if (row->arg_is_source) {
     gb::check_index(arg < static_cast<std::uint64_t>(snap->adj().nrows()),
                     "GraphService: source out of range");
   }
+  auto res = empty_result(*snap);
+  RunnerOptions ropts = opts_.runner;
 
-  const bool batchable =
-      algo == "pagerank" || algo == "bfs" || algo == "sssp";
-  if (batchable && svc_.policy().batch_max > 1) {
+  if ((row->dedup || row->multi) && svc_.policy().batch_max > 1) {
     // Batch planner: one open batch per (algorithm, snapshot identity). The
     // snapshot pointer is a sound key because the opener's job keeps the
     // snapshot alive for as long as the batch is joinable — the address
@@ -139,123 +210,34 @@ std::uint64_t GraphService::submit_algorithm(const std::string& algo,
     const std::string key =
         algo + '|' +
         std::to_string(reinterpret_cast<std::uintptr_t>(snap.get()));
-    gb::platform::Service::BatchJob job;
-    if (algo == "pagerank") {
-      // pagerank takes no per-request argument here, so every member of the
-      // batch asks for the same computation: run it ONCE and fan the result
-      // out to all live members (request dedup).
-      job = [snap, ropts](gb::platform::Governor& gov, const BatchView& view) {
-        const BatchRows rows = collect_rows(view);
-        if (rows.member_of_row.empty()) return;
-        Runner runner(ropts, gov);  // external-governor mode
-        auto out = runner.run([&](const Checkpoint* cp) {
-          return pagerank(*snap, 0.85, 1e-9, 100, cp);
-        });
-        std::vector<gb::Index> idx;
-        std::vector<double> vals;
-        out.rank.extract_tuples(idx, vals);
-        for (std::size_t member : rows.member_of_row) {
-          if (view.cancelled(member)) continue;
-          auto* r = static_cast<ServiceJobResult*>(view.payload(member));
-          r->idx = idx;
-          r->vals = vals;
-          r->n = out.rank.size();
-          r->stop = out.stop;
-          r->batch_size = rows.member_of_row.size();
-        }
-      };
-    } else if (algo == "bfs") {
-      job = [snap, ropts](gb::platform::Governor& gov, const BatchView& view) {
-        const BatchRows rows = collect_rows(view);
-        if (rows.member_of_row.empty()) return;
-        Runner runner(ropts, gov);
-        if (rows.sources.size() == 1) {
-          // A batch that collapsed to one live row takes the solo driver:
-          // direction-optimizing BFS beats the k-row matrix walk at k = 1,
-          // and levels are variant-independent so the result is unchanged.
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return bfs(*snap, rows.sources[0],
-                       BfsVariant::direction_optimizing, cp);
-          });
-          auto* r = static_cast<ServiceJobResult*>(
-              view.payload(rows.member_of_row[0]));
-          r->stop = out.stop;
-          r->batch_size = 1;
-          store_vector(out.level, *r);
-          return;
-        }
-        auto out = runner.run([&](const Checkpoint* cp) {
-          return bfs_level_ms(*snap, rows.sources, cp);
-        });
-        scatter_rows(out.level, rows.member_of_row, view, out.stop);
-      };
-    } else {  // sssp
-      job = [snap, ropts](gb::platform::Governor& gov, const BatchView& view) {
-        const BatchRows rows = collect_rows(view);
-        if (rows.member_of_row.empty()) return;
-        Runner runner(ropts, gov);
-        if (rows.sources.size() == 1) {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return sssp_bellman_ford(*snap, rows.sources[0], cp);
-          });
-          auto* r = static_cast<ServiceJobResult*>(
-              view.payload(rows.member_of_row[0]));
-          r->stop = out.stop;
-          r->batch_size = 1;
-          store_vector(out.dist, *r);
-          return;
-        }
-        auto out = runner.run([&](const Checkpoint* cp) {
-          return sssp_bellman_ford_ms(*snap, rows.sources, cp);
-        });
-        scatter_rows(out.dist, rows.member_of_row, view, out.stop);
-      };
-    }
+    auto job = [snap, ropts, row](gb::platform::Governor& gov,
+                                  const BatchView& view) {
+      const BatchRows rows = collect_rows(view);
+      if (rows.member_of_row.empty()) return;
+      Runner runner(ropts, gov);  // external-governor mode
+      if (row->multi && rows.sources.size() > 1) {
+        row->multi(runner, *snap, rows, view);
+        return;
+      }
+      // A dedup batch asks every member for the same computation: run it
+      // once and fan the result out. A multi-source batch that collapsed to
+      // one live row takes the solo driver too: direction-optimizing BFS
+      // beats the k-row matrix walk at k = 1, and the result is the same.
+      ServiceJobResult solo = row->solo(runner, *snap, rows.sources[0]);
+      solo.batch_size = rows.member_of_row.size();
+      for (std::size_t member : rows.member_of_row) {
+        if (!view.cancelled(member)) *payload(view, member) = solo;
+      }
+    };
     auto ticket = svc_.submit_coalesced(key, arg, res, std::move(job),
                                         /*self_governed=*/true);
     return remember(std::move(ticket), std::move(res));
   }
 
   auto ticket = svc_.submit(
-      [snap, res, ropts, algo, arg](gb::platform::Governor& gov) {
+      [snap, res, ropts, row, arg](gb::platform::Governor& gov) {
         Runner runner(ropts, gov);  // external-governor mode
-        if (algo == "pagerank") {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return pagerank(*snap, 0.85, 1e-9, 100, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.rank, *res);
-        } else if (algo == "bfs") {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return bfs(*snap, arg, BfsVariant::direction_optimizing, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.level, *res);
-        } else if (algo == "sssp") {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return sssp_bellman_ford(*snap, arg, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.dist, *res);
-        } else if (algo == "cc") {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return connected_components_run(*snap, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.labels, *res);
-        } else if (algo == "scc") {
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return strongly_connected_components_run(*snap, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.labels, *res);
-        } else {  // coloring (arg = seed)
-          auto out = runner.run([&](const Checkpoint* cp) {
-            return coloring_run(*snap, arg, cp);
-          });
-          res->stop = out.stop;
-          store_vector(out.colors, *res);
-        }
+        *res = row->solo(runner, *snap, arg);
       },
       /*self_governed=*/true);
   return remember(std::move(ticket), std::move(res));

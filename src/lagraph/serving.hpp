@@ -18,16 +18,22 @@
 // watchdog) lands on the same governor the kernels poll. Interruptions
 // surface as the job's StopReason, exactly like the direct Runner API.
 //
+// Results: every job's result is one FP64 gb::Vector — the driver's typed
+// output cast once by to_fp64 below, the same conversion the C Runner uses —
+// so wait hands out a GraphBLAS object, never a tuple list to rebuild.
+// A result starts as an empty vector of the snapshot's dimension, so a job
+// that never ran (cancelled while queued) still has the graph's shape.
+//
 // Batched execution: when the service policy enables coalescing (batch_max
-// > 1), traversal algorithms route through Service::submit_coalesced. The
+// > 1), batchable algorithms route through Service::submit_coalesced. The
 // planner keys a batch by (algorithm, snapshot identity): concurrent bfs /
 // sssp requests against the same published version coalesce into ONE
 // multi-source kernel run (bfs_level_ms / sssp_bellman_ford_ms — one row of
 // the frontier matrix per request, bit-identical per row to the solo runs),
 // and concurrent pagerank requests dedup into one run fanned out to every
-// member. De-batching scatters each row back into that member's
+// member. De-batching extracts each live member's row into its
 // ServiceJobResult, so poll/wait/cancel/release are oblivious to batching;
-// a cancelled member is masked out of the scatter, never killing siblings.
+// a cancelled member is masked out of the de-batch, never killing siblings.
 // batch_size on the result records how many requests shared the kernel run.
 #pragma once
 
@@ -36,7 +42,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lagraph/graph.hpp"
@@ -46,13 +54,25 @@
 
 namespace lagraph {
 
-/// What a serving job hands back: a sparse (index, value) result vector plus
-/// the StopReason of the drive (none/converged = complete; an interruption
-/// code = partial result, same contract as the Runner API).
+/// The FP64 form every served result (and every C Runner result) takes: a
+/// typecasting GrB_apply for integer results (hop counts, vertex ids,
+/// colors — exact below 2^53); an FP64 result moves in unchanged.
+template <class T>
+gb::Vector<double> to_fp64(gb::Vector<T>&& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::move(v);
+  } else {
+    gb::Vector<double> out(v.size());
+    gb::apply(out, gb::no_mask, gb::no_accum, gb::Identity{}, v);
+    return out;
+  }
+}
+
+/// What a serving job hands back: the result vector plus the StopReason of
+/// the drive (none/converged = complete; an interruption code = partial
+/// result, same contract as the Runner API).
 struct ServiceJobResult {
-  std::vector<gb::Index> idx;
-  std::vector<double> vals;
-  gb::Index n = 0;  ///< dimension of the result vector
+  gb::Vector<double> vector;
   StopReason stop = StopReason::none;
   /// How many requests shared the kernel run that produced this result:
   /// 0 = unbatched path, 1 = coalesced but ran alone, >1 = true batch.
@@ -95,13 +115,14 @@ class GraphService {
       std::function<ServiceJobResult(const Graph&, gb::platform::Governor&)>;
   std::uint64_t submit(const std::string& graph, Query q);
 
-  /// Named Runner-driven algorithm job: "pagerank" (arg unused), "bfs"
-  /// (arg = source, result = levels), "sssp" (arg = source, Bellman-Ford
-  /// distances), "cc" / "scc" (arg unused, component labels), "coloring"
-  /// (arg = seed, 1-based colors). Throws gb::Error invalid_value for
-  /// unknown names or an out-of-range source, OverloadedError when shed.
-  /// bfs/sssp/pagerank are batchable: with batch_max > 1 they coalesce per
-  /// (algorithm, snapshot) into one multi-source run (see the header note).
+  /// Named Runner-driven algorithm job, one of the served algorithms:
+  /// "pagerank" (arg unused), "bfs" (arg = source, result = levels), "sssp"
+  /// (arg = source, Bellman-Ford distances), "cc" / "scc" (arg unused,
+  /// component labels), "coloring" (arg = seed, 1-based colors). Throws
+  /// gb::Error invalid_value for an unknown name, invalid_index for an
+  /// out-of-range source, OverloadedError when shed. bfs/sssp coalesce into
+  /// one multi-source run and pagerank dedups when batch_max > 1 (see the
+  /// header note).
   std::uint64_t submit_algorithm(const std::string& algo,
                                  const std::string& graph, std::uint64_t arg);
 

@@ -580,14 +580,16 @@ TEST(GraphServiceBatch, CancelOneRowLeavesSiblingsUntouched) {
   EXPECT_EQ(blocker.wait(), Service::State::done);
 
   const ServiceJobResult& r0 = svc.wait(j0);
-  EXPECT_EQ(std::make_pair(r0.idx, r0.vals), truth[0]);
+  EXPECT_EQ(tuples(r0.vector), truth[0]);
   EXPECT_EQ(r0.batch_size, 2u);  // two live rows shared the kernel run
   const ServiceJobResult& r1 = svc.wait(j1);
   EXPECT_EQ(svc.poll(j1), GraphService::JobState::cancelled);
   EXPECT_EQ(r1.stop, StopReason::cancelled);
-  EXPECT_TRUE(r1.idx.empty());  // masked row: payload never written
+  // Masked row: payload never written, but it has the graph's dimension.
+  EXPECT_EQ(r1.vector.nvals(), 0u);
+  EXPECT_EQ(r1.vector.size(), same.adj().nrows());
   const ServiceJobResult& r2 = svc.wait(j2);
-  EXPECT_EQ(std::make_pair(r2.idx, r2.vals), truth[2]);
+  EXPECT_EQ(tuples(r2.vector), truth[2]);
   EXPECT_EQ(r2.batch_size, 2u);
 
   const ServiceStats st = svc.stats();
@@ -637,16 +639,17 @@ TEST(GraphServiceBatch, GovernorTripMidBatchReturnsPerRowPartials) {
       EXPECT_EQ(res.batch_size, 3u) << "row " << r;
       // Partial prefix: every level the interrupted batch assigned matches
       // the solo run at the same vertex.
-      for (std::size_t t = 0; t < res.idx.size(); ++t) {
+      const auto [idx, vals] = tuples(res.vector);
+      for (std::size_t t = 0; t < idx.size(); ++t) {
         const auto& want = truth[r];
-        auto it = std::lower_bound(want.first.begin(), want.first.end(),
-                                   res.idx[t]);
-        ASSERT_TRUE(it != want.first.end() && *it == res.idx[t])
+        auto it =
+            std::lower_bound(want.first.begin(), want.first.end(), idx[t]);
+        ASSERT_TRUE(it != want.first.end() && *it == idx[t])
             << "row " << r << " has an entry the solo run never assigns";
-        EXPECT_EQ(res.vals[t],
+        EXPECT_EQ(vals[t],
                   want.second[static_cast<std::size_t>(
                       it - want.first.begin())])
-            << "row " << r << " vertex " << res.idx[t];
+            << "row " << r << " vertex " << idx[t];
       }
     }
   }
@@ -681,11 +684,11 @@ TEST(GraphServiceBatch, EightClientBatchedSoakIsBitIdenticalToSerial) {
         for (int j = 0; j < kJobsPerClient; ++j) {
           if ((c + j) % 2 == 0) {
             const auto& r = svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-            if (std::make_pair(r.idx, r.vals) != pr) mismatches.fetch_add(1);
+            if (tuples(r.vector) != pr) mismatches.fetch_add(1);
           } else {
             const auto& r = svc.wait(svc.submit_algorithm(
                 "bfs", "g", static_cast<std::uint64_t>(c)));
-            if (std::make_pair(r.idx, r.vals) != bfs_truth[c])
+            if (tuples(r.vector) != bfs_truth[c])
               mismatches.fetch_add(1);
           }
         }
@@ -760,7 +763,7 @@ TEST(GraphServiceBatch, ConcurrentBatchedBfsWithBitmapLevelMaskIsRaceFree) {
         for (int j = 0; j < kJobsPerClient; ++j) {
           const auto& r = svc.wait(svc.submit_algorithm(
               "bfs", "g", static_cast<std::uint64_t>(c)));
-          if (std::make_pair(r.idx, r.vals) != truth[c])
+          if (tuples(r.vector) != truth[c])
             mismatches.fetch_add(1);
         }
       } catch (...) {
@@ -810,11 +813,11 @@ TEST(GraphServiceBatch, CoalescingSubmitPathSurvivesAllocFaultInjection) {
   gate.store(true);
   EXPECT_EQ(blocker.wait(), Service::State::done);
   const auto& r = svc.wait(accepted_job);
-  EXPECT_EQ(std::make_pair(r.idx, r.vals), truth);
+  EXPECT_EQ(tuples(r.vector), truth);
 
   // And the stage stays fully serviceable after the soak.
   const auto& r2 = svc.wait(svc.submit_algorithm("bfs", "g", 1));
-  EXPECT_EQ(std::make_pair(r2.idx, r2.vals), truth);
+  EXPECT_EQ(tuples(r2.vector), truth);
 }
 
 TEST(GraphServiceBatch, RoutesComponentAlgorithmsThroughTheRunner) {
@@ -828,17 +831,47 @@ TEST(GraphServiceBatch, RoutesComponentAlgorithmsThroughTheRunner) {
 
   const auto cc_truth = tuples(lagraph::connected_components(same));
   const auto& rc = svc.wait(svc.submit_algorithm("cc", "g", 0));
-  EXPECT_EQ(std::make_pair(rc.idx, rc.vals), cc_truth);
+  EXPECT_EQ(tuples(rc.vector), cc_truth);
   EXPECT_EQ(rc.batch_size, 0u);  // unbatched path
 
   const auto scc_truth = tuples(lagraph::strongly_connected_components(same));
   const auto& rs = svc.wait(svc.submit_algorithm("scc", "g", 0));
-  EXPECT_EQ(std::make_pair(rs.idx, rs.vals), scc_truth);
+  EXPECT_EQ(tuples(rs.vector), scc_truth);
 
   const auto col_truth = tuples(lagraph::coloring(same, 7));
   const auto& rk = svc.wait(svc.submit_algorithm("coloring", "g", 7));
-  EXPECT_EQ(std::make_pair(rk.idx, rk.vals), col_truth);
+  EXPECT_EQ(tuples(rk.vector), col_truth);
 
   EXPECT_THROW((void)svc.submit_algorithm("bfs", "g", 999), gb::Error);
   svc.quiesce();
+}
+
+TEST(GraphServiceBatch, SourceArgumentsAreRangeCheckedOnBothPaths) {
+  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{8}}) {
+    GraphService::Options opts;
+    opts.service.workers = 1;
+    opts.service.batch_max = batch_max;  // 1: solo path; 8: coalescing path
+    GraphService svc(opts);
+    svc.publish("g", make_graph(5, gb::FormatMode::sparse));
+    const Index n = svc.snapshot("g")->adj().nrows();
+    for (const char* algo : {"bfs", "sssp"}) {
+      for (const std::uint64_t bad : {std::uint64_t{n}, std::uint64_t{999}}) {
+        try {
+          (void)svc.submit_algorithm(algo, "g", bad);
+          ADD_FAILURE() << algo << " accepted source " << bad;
+        } catch (const gb::Error& e) {
+          EXPECT_EQ(e.info(), gb::Info::invalid_index) << algo;
+        }
+      }
+      const ServiceJobResult& r =
+          svc.wait(svc.submit_algorithm(algo, "g", n - 1));
+      EXPECT_EQ(r.vector.size(), n) << algo;
+    }
+    // Coloring's arg is a seed, not a vertex: it is never range-checked.
+    const ServiceJobResult& r =
+        svc.wait(svc.submit_algorithm("coloring", "g", 999));
+    EXPECT_EQ(r.vector.nvals(), n);
+    EXPECT_EQ(svc.stats().submitted, 3u);  // rejected submits never enqueue
+    svc.quiesce();
+  }
 }

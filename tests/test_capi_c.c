@@ -10,6 +10,7 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 #include "capi/graphblas_c.h"
 #include "capi/graphblas_poly.h"
@@ -551,6 +552,110 @@ static void test_service(void) {
   CHECK(GrB_free(&level) == GrB_SUCCESS);
 }
 
+/* Tuples of `v` (caller frees *idx and *vals); returns the entry count. */
+static GrB_Index vector_tuples(GrB_Vector v, GrB_Index** idx, double** vals) {
+  GrB_Index nv = 0;
+  CHECK(GrB_Vector_nvals(&nv, v) == GrB_SUCCESS);
+  *idx = malloc((nv + 1) * sizeof(GrB_Index));
+  *vals = malloc((nv + 1) * sizeof(double));
+  GrB_Index got = nv;
+  CHECK(GrB_Vector_extractTuples_FP64(*idx, *vals, &got, v) == GrB_SUCCESS);
+  CHECK(got == nv);
+  return nv;
+}
+
+/* 1 when `a` and `b` have the same dimension and the same tuples, bit for
+ * bit. */
+static int same_vector(GrB_Vector a, GrB_Vector b) {
+  GrB_Index na = 0, nb = 0;
+  CHECK(GrB_Vector_size(&na, a) == GrB_SUCCESS);
+  CHECK(GrB_Vector_size(&nb, b) == GrB_SUCCESS);
+  GrB_Index *ia = NULL, *ib = NULL;
+  double *va = NULL, *vb = NULL;
+  const GrB_Index ea = vector_tuples(a, &ia, &va);
+  const GrB_Index eb = vector_tuples(b, &ib, &vb);
+  const int same = na == nb && ea == eb &&
+                   memcmp(ia, ib, ea * sizeof(GrB_Index)) == 0 &&
+                   memcmp(va, vb, ea * sizeof(double)) == 0;
+  free(ia);
+  free(ib);
+  free(va);
+  free(vb);
+  return same;
+}
+
+static void test_service_matches_runner(void) {
+  /* Every served algorithm, through LAGraph_Service_wait, gives the tuples
+   * its LAGraph_Runner_* call gives on the same matrix, bit for bit — so the
+   * typed results (levels, labels, colors) reach C through the same FP64
+   * conversion on both paths. A directed graph with random weights: 64
+   * vertices, 4 out-edges each from a fixed LCG. */
+  const GrB_Index n = 64;
+  GrB_Matrix a = NULL;
+  CHECK(GrB_Matrix_new(&a, n, n) == GrB_SUCCESS);
+  uint64_t state = 12345;
+  for (GrB_Index i = 0; i < n; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const GrB_Index j = (state >> 33) % n;
+      const double w = 1.0 + (double)((state >> 20) % 8) / 4.0;
+      CHECK(GrB_setElement(a, w, i, j) == GrB_SUCCESS);
+    }
+  }
+
+  LAGraph_Runner r = NULL;
+  LAGraph_Service svc = NULL;
+  GrB_Vector direct = NULL, served = NULL, again = NULL;
+  CHECK(LAGraph_Runner_new(&r) == GrB_SUCCESS);
+  CHECK(LAGraph_Service_new(&svc, 2, 64, 0, 0, 0, 0) == GrB_SUCCESS);
+  CHECK(LAGraph_Service_publish(svc, "g", a) == GrB_SUCCESS);
+  CHECK(GrB_Vector_new(&direct, n) == GrB_SUCCESS);
+  CHECK(GrB_Vector_new(&served, 1) == GrB_SUCCESS);
+  CHECK(GrB_Vector_new(&again, 1) == GrB_SUCCESS);
+
+  const char* algos[] = {"pagerank", "bfs", "sssp", "cc", "scc", "coloring"};
+  const GrB_Index args[] = {0, 3, 5, 0, 0, 42};
+  for (int k = 0; k < 6; ++k) {
+    const char* algo = algos[k];
+    GrB_Info info = GrB_PANIC;
+    if (k == 0) {
+      info = LAGraph_Runner_pagerank(direct, r, a, 0.85, 1e-9, 100, NULL);
+    } else if (k == 1) {
+      info = LAGraph_Runner_bfs_level(direct, r, a, args[k]);
+    } else if (k == 2) {
+      info = LAGraph_Runner_sssp_bellman_ford(direct, r, a, args[k], NULL);
+    } else if (k == 3) {
+      info = LAGraph_Runner_cc(direct, r, a, NULL);
+    } else if (k == 4) {
+      info = LAGraph_Runner_scc(direct, r, a, NULL);
+    } else {
+      info = LAGraph_Runner_coloring(direct, r, a, args[k], NULL);
+    }
+    CHECK(info == GrB_SUCCESS);
+
+    uint64_t job = 0;
+    CHECK(LAGraph_Service_submit(svc, algo, "g", args[k], &job) ==
+          GrB_SUCCESS);
+    CHECK(LAGraph_Service_wait(served, svc, job) == GrB_SUCCESS);
+    if (!same_vector(direct, served)) {
+      ++failures;
+      fprintf(stderr, "FAIL: served %s differs from its Runner call\n", algo);
+    }
+    /* The job stays readable until release: a second wait gives the same
+     * vector again. */
+    CHECK(LAGraph_Service_wait(again, svc, job) == GrB_SUCCESS);
+    CHECK(same_vector(served, again));
+    CHECK(LAGraph_Service_release(svc, job) == GrB_SUCCESS);
+  }
+
+  CHECK(LAGraph_Service_free(&svc) == GrB_SUCCESS);
+  CHECK(LAGraph_Runner_free(&r) == GrB_SUCCESS);
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_free(&direct) == GrB_SUCCESS);
+  CHECK(GrB_free(&served) == GrB_SUCCESS);
+  CHECK(GrB_free(&again) == GrB_SUCCESS);
+}
+
 static void test_storage_format_options(void) {
   /* GxB sparsity control: pin forms, read status back, and confirm the
    * stored values never depend on the form. */
@@ -672,6 +777,7 @@ int main(void) {
   test_runner_clustering_bc();
   test_runner_sssp_delta_scc_coloring();
   test_service();
+  test_service_matches_runner();
   test_storage_format_options();
   test_c_bfs();
   if (failures == 0) {

@@ -371,11 +371,11 @@ TEST(GraphService, ServesResultsBitIdenticalToSerial) {
   const ServiceJobResult& rp = svc.wait(jp);
   // PageRank legitimately reports `converged`; only interruptions are errors.
   EXPECT_FALSE(lagraph::is_interruption(rp.stop));
-  EXPECT_EQ(std::make_pair(rp.idx, rp.vals), pr);
+  EXPECT_EQ(tuples(rp.vector), pr);
   const ServiceJobResult& rb = svc.wait(jb);
-  EXPECT_EQ(std::make_pair(rb.idx, rb.vals), bf);
+  EXPECT_EQ(tuples(rb.vector), bf);
   const ServiceJobResult& rs = svc.wait(js);
-  EXPECT_EQ(std::make_pair(rs.idx, rs.vals), ss);
+  EXPECT_EQ(tuples(rs.vector), ss);
 }
 
 TEST(GraphService, SubmissionPinsTheVersionCurrentAtSubmitTime) {
@@ -393,7 +393,7 @@ TEST(GraphService, SubmissionPinsTheVersionCurrentAtSubmitTime) {
   EXPECT_EQ(svc.version("g"), 2u);
 
   const ServiceJobResult& res = svc.wait(job);
-  EXPECT_EQ(std::make_pair(res.idx, res.vals), v1_truth);
+  EXPECT_EQ(tuples(res.vector), v1_truth);
 
   // A job submitted after the republish sees v2.
   Graph other = make_test_graph(99);
@@ -401,7 +401,7 @@ TEST(GraphService, SubmissionPinsTheVersionCurrentAtSubmitTime) {
       tuples(lagraph::pagerank(other, 0.85, 1e-9, 100).rank);
   const ServiceJobResult& res2 =
       svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-  EXPECT_EQ(std::make_pair(res2.idx, res2.vals), v2_truth);
+  EXPECT_EQ(tuples(res2.vector), v2_truth);
 }
 
 TEST(GraphService, EightClientSoakIsBitIdenticalToSerial) {
@@ -432,12 +432,12 @@ TEST(GraphService, EightClientSoakIsBitIdenticalToSerial) {
           if ((c + j) % 2 == 0) {
             const auto& r =
                 svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-            if (std::make_pair(r.idx, r.vals) != pr) mismatches.fetch_add(1);
+            if (tuples(r.vector) != pr) mismatches.fetch_add(1);
           } else {
             const Index src = static_cast<Index>(c);
             const auto& r = svc.wait(svc.submit_algorithm(
                 "bfs", "g", static_cast<std::uint64_t>(src)));
-            if (std::make_pair(r.idx, r.vals) != bfs_truth[c])
+            if (tuples(r.vector) != bfs_truth[c])
               mismatches.fetch_add(1);
           }
         }
@@ -479,7 +479,7 @@ TEST(GraphService, ConcurrentRepublishNeverDisturbsInFlightReaders) {
     clients.emplace_back([&] {
       for (int j = 0; j < 3; ++j) {
         const auto& r = svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-        if (std::make_pair(r.idx, r.vals) != truth) mismatches.fetch_add(1);
+        if (tuples(r.vector) != truth) mismatches.fetch_add(1);
       }
     });
   }
@@ -522,9 +522,7 @@ TEST(GraphService, DisplacedVersionIsFreedWhenItsLastJobFinishes) {
   const std::uint64_t parked =
       svc.submit("g", [&](const Graph& g, gb::platform::Governor&) {
         while (!gate.load()) sleep_ms(0.2);
-        ServiceJobResult r;
-        r.n = g.adj().nrows();
-        return r;
+        return ServiceJobResult{.vector = gb::Vector<double>(g.adj().nrows())};
       });
   const std::uint64_t queued = svc.submit_algorithm("bfs", "g", 0);
 
@@ -650,11 +648,11 @@ TEST(GraphService, SubmitPathSurvivesAllocFaultInjection) {
   gate.store(true);
   EXPECT_EQ(blocker.wait(), Service::State::done);
   const auto& r = svc.wait(accepted_job);
-  EXPECT_EQ(std::make_pair(r.idx, r.vals), truth);
+  EXPECT_EQ(tuples(r.vector), truth);
 
   // And the shed path stays intact after the fault soak.
   const auto& r2 = svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-  EXPECT_EQ(std::make_pair(r2.idx, r2.vals), truth);
+  EXPECT_EQ(tuples(r2.vector), truth);
 }
 
 TEST(GraphService, UnknownNamesAreInvalidValueErrors) {
@@ -687,6 +685,9 @@ TEST(GraphService, ClientCancelSurfacesAsCancelledStop) {
   EXPECT_EQ(blocker.wait(), Service::State::done);
   const ServiceJobResult& r = svc.wait(job);
   EXPECT_EQ(r.stop, StopReason::cancelled);
+  // A job that never ran still has the graph's dimension, and no entries.
+  EXPECT_EQ(r.vector.size(), svc.snapshot("g")->adj().nrows());
+  EXPECT_EQ(r.vector.nvals(), 0u);
   EXPECT_EQ(svc.poll(job), GraphService::JobState::cancelled);
   svc.release(job);
   EXPECT_THROW((void)svc.poll(job), gb::Error);
@@ -956,19 +957,19 @@ TEST(ThreadBudget, EightClientSoakIsBitIdenticalWhileTheAllotmentMoves) {
             case 0: {
               const auto& r =
                   svc.wait(svc.submit_algorithm("pagerank", "g", 0));
-              if (std::make_pair(r.idx, r.vals) != pr) mismatches.fetch_add(1);
+              if (tuples(r.vector) != pr) mismatches.fetch_add(1);
               break;
             }
             case 1: {
               const auto& r = svc.wait(svc.submit_algorithm("bfs", "g", src));
-              if (std::make_pair(r.idx, r.vals) != bfs_truth[c])
+              if (tuples(r.vector) != bfs_truth[c])
                 mismatches.fetch_add(1);
               break;
             }
             default: {
               const auto& r =
                   svc.wait(svc.submit_algorithm("sssp", "g", src));
-              if (std::make_pair(r.idx, r.vals) != sssp_truth[c])
+              if (tuples(r.vector) != sssp_truth[c])
                 mismatches.fetch_add(1);
               break;
             }
