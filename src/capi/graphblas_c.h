@@ -79,11 +79,14 @@ typedef enum {
   GrB_LOR,
   GrB_LAND,
   GrB_EQ_FP64,
-  GrB_NE_FP64
+  GrB_NE_FP64,
+  /* Not an operator: the value behind GrB_NULL_ACCUM. An enumerator, so
+   * passing it loads a valid GrB_BinaryOp; any operator slot rejects it. */
+  GxB_NULL_ACCUM_OP
 } GrB_BinaryOp;
 
 /* GrB_NULL for the accumulator argument. */
-#define GrB_NULL_ACCUM ((GrB_BinaryOp)-1)
+#define GrB_NULL_ACCUM GxB_NULL_ACCUM_OP
 
 typedef enum {
   GrB_PLUS_MONOID_FP64,

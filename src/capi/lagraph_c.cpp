@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,11 @@
 
 struct LAGraph_Runner_opaque {
   lagraph::Runner runner;
+  // The graph of the last matrix value run on, keyed by that value's
+  // generation: calls on the same, unchanged matrix reuse it together with
+  // the properties (transpose, degrees, undirected view) earlier calls built.
+  std::uint64_t generation = 0;
+  std::optional<lagraph::Graph> graph;
 };
 
 struct LAGraph_Service_opaque {
@@ -63,15 +69,22 @@ GrB_Info trip_code(lagraph::StopReason s) noexcept {
 using lagraph::Checkpoint;
 using lagraph::Graph;
 
-/// One driven Runner call on a private copy of `a`, read as a directed
-/// graph: `driver(g, cp)` is the resumable entry point the Runner slices.
+/// One driven Runner call on `a`, read as a directed graph: `driver(g, cp)`
+/// is the resumable entry point the Runner slices. The Runner's graph is a
+/// copy of `a`, taken only when `a`'s value differs from the one it was
+/// taken from (another matrix, or a mutation since).
 template <class D>
 auto driven(LAGraph_Runner r, GrB_Matrix a, D&& driver) {
   // A driven call is a fresh run: a cancel left over from a previous run
   // must not trip it at the first poll.
   r->runner.governor().clear_cancel();
-  gb::Matrix<double> adj = a->m.dup();
-  Graph g(std::move(adj), lagraph::Kind::directed);
+  const std::uint64_t generation = a->m.generation();
+  if (!r->graph || r->generation != generation) {
+    r->graph.reset();  // free the old graph before the copy
+    r->graph.emplace(a->m.dup(), lagraph::Kind::directed);
+    r->generation = generation;
+  }
+  const Graph& g = *r->graph;
   return r->runner.run(
       [&](const Checkpoint* cp) { return driver(g, cp); });
 }

@@ -12,6 +12,16 @@
  * trip code of its last slice — GxB_CANCELLED, GxB_TIMEOUT, or
  * GrB_OUT_OF_MEMORY — and still writes the partial result, whose progress
  * can be inspected through LAGraph_Runner_stats.
+ *
+ * Graph reuse: a Runner holds the graph of the last matrix it ran on — a
+ * copy of `a` plus the properties the algorithms build on first use (the
+ * transpose, the degrees, the undirected view). A call on the same,
+ * unmodified matrix, or on a GrB_Matrix_dup of it, reuses that graph and
+ * copies nothing. A different matrix, or any change to `a` since (setElement,
+ * removeElement, clear, build, any operation writing `a`), makes the next
+ * call copy afresh and release the old graph. One graph is held until
+ * LAGraph_Runner_free or until such a call. A Runner serves one call at a
+ * time.
  */
 #ifndef LAGRAPH_REPRO_LAGRAPH_C_H
 #define LAGRAPH_REPRO_LAGRAPH_C_H
@@ -66,8 +76,9 @@ GrB_Info LAGraph_Runner_stats(LAGraph_Runner r, int32_t* slices,
                               bool* gave_up, LAGraph_StopReason* stop);
 
 /* --- driven algorithms ---------------------------------------------------
- * The adjacency matrix is interpreted as directed; `rank`/`level` are
- * overwritten (any previous contents are cleared). */
+ * The adjacency matrix is interpreted as directed and read through the
+ * Runner's graph (see "Graph reuse" above); `a` itself is never modified.
+ * `rank`/`level` are overwritten (any previous contents are cleared). */
 
 /* PageRank: rank holds the per-vertex score; *iterations (optional) the
  * completed iteration count. */

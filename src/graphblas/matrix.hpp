@@ -10,7 +10,9 @@
 //     as fast as one build of e tuples (bench C2);
 //   * O(1) import/export of the raw arrays by move construction (bench C6);
 //   * a cached opposite-orientation copy (the CSR+CSC doubling GraphBLAST
-//     uses for push/pull), built on demand and invalidated on mutation.
+//     uses for push/pull), built on demand and invalidated on mutation;
+//   * a generation number naming the current value, so a caller can keep
+//     objects derived from a matrix and reuse them while it is unchanged.
 //
 // Exception safety: every mutation that can allocate assembles its result in
 // scratch storage (or pre-reserves exactly) and commits with noexcept moves.
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -46,6 +49,36 @@ enum class Layout : std::uint8_t { by_row, by_col };
 [[nodiscard]] constexpr Layout flip(Layout l) noexcept {
   return l == Layout::by_row ? Layout::by_col : Layout::by_row;
 }
+
+namespace detail {
+
+/// A matrix's generation number. Numbers come from one process-wide
+/// counter, so no two values ever share one — not even two matrices that
+/// live at the same address one after the other. A copy keeps its source's
+/// number (the value is the same); a move hands the number over and gives
+/// the moved-from source a fresh one.
+struct Generation {
+  static std::uint64_t fresh() noexcept {
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  Generation() = default;
+  Generation(const Generation&) = default;
+  Generation& operator=(const Generation&) = default;
+  Generation(Generation&& o) noexcept : value(o.value) { o.value = fresh(); }
+  Generation& operator=(Generation&& o) noexcept {
+    value = o.value;
+    o.value = fresh();
+    return *this;
+  }
+
+  std::uint64_t value = fresh();
+
+ private:
+  static inline std::atomic<std::uint64_t> next{1};
+};
+
+}  // namespace detail
 
 /// Hypersparsity policy. `auto_mode` switches to hypersparse when fewer than
 /// vdim / kHyperRatio major vectors are non-empty (SuiteSparse's default
@@ -135,6 +168,15 @@ class Matrix {
   [[nodiscard]] bool is_hyper() const {
     wait();
     return main_.hyper;
+  }
+
+  /// The generation number of the current value: fresh at construction and
+  /// after every mutation, shared with copies, never reused in the process.
+  /// Equal numbers mean equal values, so a caller may key a cache of
+  /// anything derived from the matrix on it.
+  [[nodiscard]] std::uint64_t generation() const {
+    wait();
+    return gen_.value;
   }
 
   // --- element access ---------------------------------------------------------
@@ -880,11 +922,14 @@ class Matrix {
     invalidate_views();
   }
 
+  /// Every mutation reaches here: it names the new value and drops the
+  /// caches of the old one.
   void invalidate_views() const {
     sview_.reset();
     sview_valid_ = false;
     frozen_ = false;    // mutation: this object is no longer a published view
     snap_.reset();      // and any cached snapshot keeps the pre-write value
+    gen_.value = detail::Generation::fresh();
   }
 
   Index nrows_ = 0;
@@ -906,6 +951,7 @@ class Matrix {
   mutable Index nzombies_ = 0;
   mutable bool frozen_ = false;  // immutable published snapshot
   mutable std::shared_ptr<const Matrix<T>> snap_;  // cached COW snapshot
+  mutable detail::Generation gen_;
 };
 
 }  // namespace gb

@@ -147,12 +147,26 @@ class Vector {
              Dup dup) {
     check_value(indices.size() == values.size(), "Vector::build sizes");
     check_value(nvals() == 0, "Vector::build on non-empty vector");
-    Buf<std::pair<Index, storage_t<T>>> tuples;
-    tuples.reserve(indices.size());
+    bool increasing = true;
     for (std::size_t k = 0; k < indices.size(); ++k) {
       check_index(indices[k] < n_, "Vector::build index");
-      tuples.emplace_back(indices[k], static_cast<storage_t<T>>(values[k]));
+      if (k > 0 && indices[k] <= indices[k - 1]) increasing = false;
     }
+    if (increasing) {
+      // Strictly increasing input is already the stored order, with no
+      // duplicates to combine: copy it straight in, no sort.
+      Buf<Index> ni(indices.begin(), indices.end());
+      Buf<storage_t<T>> nv;
+      nv.reserve(indices.size());
+      for (std::size_t k = 0; k < indices.size(); ++k)
+        nv.push_back(static_cast<storage_t<T>>(values[k]));
+      commit_sparse(std::move(ni), std::move(nv));
+      return;
+    }
+    Buf<std::pair<Index, storage_t<T>>> tuples;
+    tuples.reserve(indices.size());
+    for (std::size_t k = 0; k < indices.size(); ++k)
+      tuples.emplace_back(indices[k], static_cast<storage_t<T>>(values[k]));
     std::stable_sort(tuples.begin(), tuples.end(),
                      [](const auto& a, const auto& b) { return a.first < b.first; });
     Buf<Index> ni;

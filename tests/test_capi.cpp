@@ -6,6 +6,7 @@
 
 #include "capi/capi_internal.hpp"
 #include "capi/graphblas_c.h"
+#include "capi/lagraph_c.h"
 #include "graphblas/validate.hpp"
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
@@ -569,4 +570,44 @@ TEST(CApiError, CorruptOutputCaughtBeforeDispatch) {
 
   GrB_Matrix_free(&a);
   GrB_Matrix_free(&c);
+}
+
+TEST(CApi, RunnerSeesAResizedMatrix) {
+  // A Runner reuses its graph while the matrix is unchanged; a resize is a
+  // change. The C binding has no GrB_Matrix_resize, so the matrix behind the
+  // handle is resized in place, as that call would do it.
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, 8, 8), GrB_SUCCESS);
+  for (GrB_Index i = 0; i + 1 < 8; ++i)
+    ASSERT_EQ(GrB_Matrix_setElement_FP64(a, 1.0, i, i + 1), GrB_SUCCESS);
+  LAGraph_Runner r = nullptr;
+  ASSERT_EQ(LAGraph_Runner_new(&r), GrB_SUCCESS);
+  GrB_Vector got = nullptr, want = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&got, 1), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&want, 1), GrB_SUCCESS);
+  ASSERT_EQ(LAGraph_Runner_bfs_level(got, r, a, 0), GrB_SUCCESS);
+  EXPECT_EQ(got->v.size(), 8u);
+  EXPECT_EQ(got->v.nvals(), 8u);
+
+  for (const GrB_Index n : {GrB_Index{12}, GrB_Index{5}}) {
+    a->m.resize(n, n);
+    ASSERT_EQ(LAGraph_Runner_bfs_level(got, r, a, 0), GrB_SUCCESS);
+    LAGraph_Runner fresh = nullptr;
+    ASSERT_EQ(LAGraph_Runner_new(&fresh), GrB_SUCCESS);
+    ASSERT_EQ(LAGraph_Runner_bfs_level(want, fresh, a, 0), GrB_SUCCESS);
+    ASSERT_EQ(LAGraph_Runner_free(&fresh), GrB_SUCCESS);
+    EXPECT_EQ(got->v.size(), n);
+    std::vector<gb::Index> gi, wi;
+    std::vector<double> gv, wv;
+    got->v.extract_tuples(gi, gv);
+    want->v.extract_tuples(wi, wv);
+    EXPECT_EQ(gi, wi);
+    EXPECT_EQ(gv, wv);
+    EXPECT_EQ(gi.size(), std::min<GrB_Index>(n, 8));
+  }
+
+  LAGraph_Runner_free(&r);
+  GrB_Vector_free(&got);
+  GrB_Vector_free(&want);
+  GrB_Matrix_free(&a);
 }

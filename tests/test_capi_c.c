@@ -6,6 +6,8 @@
  * selection). It is a plain main() so no C++ test framework leaks in.
  */
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -656,6 +658,209 @@ static void test_service_matches_runner(void) {
   CHECK(GrB_free(&again) == GrB_SUCCESS);
 }
 
+/* BFS from 0 and CC of `a` through `r`, each compared bit for bit with a
+ * fresh Runner's result on the same matrix; `step` names the step that led
+ * here. A copy of the BFS result replaces *level (when level is not NULL)
+ * for spot checks. */
+static void check_runner_matches_fresh(LAGraph_Runner r, GrB_Matrix a,
+                                       const char* step, GrB_Vector* level) {
+  GrB_Index n = 0;
+  CHECK(GrB_Matrix_nrows(&n, a) == GrB_SUCCESS);
+  LAGraph_Runner fresh = NULL;
+  GrB_Vector got = NULL, want = NULL;
+  CHECK(LAGraph_Runner_new(&fresh) == GrB_SUCCESS);
+  CHECK(GrB_Vector_new(&got, n) == GrB_SUCCESS);
+  CHECK(GrB_Vector_new(&want, n) == GrB_SUCCESS);
+  CHECK(LAGraph_Runner_bfs_level(got, r, a, 0) == GrB_SUCCESS);
+  CHECK(LAGraph_Runner_bfs_level(want, fresh, a, 0) == GrB_SUCCESS);
+  if (!same_vector(got, want)) {
+    ++failures;
+    fprintf(stderr, "FAIL: bfs after %s differs from a fresh Runner's\n",
+            step);
+  }
+  if (level != NULL) {
+    CHECK(GrB_free(level) == GrB_SUCCESS);
+    CHECK(GrB_Vector_dup(level, got) == GrB_SUCCESS);
+  }
+  CHECK(LAGraph_Runner_cc(got, r, a, NULL) == GrB_SUCCESS);
+  CHECK(LAGraph_Runner_cc(want, fresh, a, NULL) == GrB_SUCCESS);
+  if (!same_vector(got, want)) {
+    ++failures;
+    fprintf(stderr, "FAIL: cc after %s differs from a fresh Runner's\n",
+            step);
+  }
+  CHECK(LAGraph_Runner_free(&fresh) == GrB_SUCCESS);
+  CHECK(GrB_free(&got) == GrB_SUCCESS);
+  CHECK(GrB_free(&want) == GrB_SUCCESS);
+}
+
+/* The BFS level of vertex v in `level`, or -1 when v was not reached. */
+static double level_of(GrB_Vector level, GrB_Index v) {
+  double x = -1.0;
+  return GrB_extractElement(&x, level, v) == GrB_SUCCESS ? x : -1.0;
+}
+
+static void test_runner_reuses_graph_until_matrix_changes(void) {
+  /* A Runner keeps the graph of the matrix it last ran on. After every kind
+   * of change to that matrix its results must still equal a fresh Runner's,
+   * and each step below changes the BFS levels, so a stale graph would
+   * show. The graph starts as the directed chain 0 -> 1 -> ... -> 15. */
+  const GrB_Index n = 16;
+  GrB_Index rows[16], cols[16];
+  double vals[16];
+  for (GrB_Index i = 0; i + 1 < n; ++i) {
+    rows[i] = i;
+    cols[i] = i + 1;
+    vals[i] = 1.0;
+  }
+  GrB_Matrix a = NULL, b = NULL, d = NULL;
+  GrB_Vector level = NULL, level_d = NULL;
+  LAGraph_Runner r = NULL;
+  CHECK(GrB_Matrix_new(&a, n, n) == GrB_SUCCESS);
+  CHECK(GrB_Matrix_build_FP64(a, rows, cols, vals, n - 1, GrB_PLUS_FP64) ==
+        GrB_SUCCESS);
+  CHECK(LAGraph_Runner_new(&r) == GrB_SUCCESS);
+
+  check_runner_matches_fresh(r, a, "the first call", &level);
+  CHECK(level_of(level, 15) == 15.0);
+  check_runner_matches_fresh(r, a, "a repeat call", &level);
+  CHECK(level_of(level, 15) == 15.0);
+
+  CHECK(GrB_setElement(a, 1.0, 0, 15) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "setElement", &level);
+  CHECK(level_of(level, 15) == 1.0);
+
+  CHECK(GrB_Matrix_removeElement(a, 7, 8) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "removeElement", &level);
+  CHECK(level_of(level, 8) == -1.0);
+
+  CHECK(GrB_Matrix_clear(a) == GrB_SUCCESS);
+  CHECK(GrB_Matrix_build_FP64(a, rows, cols, vals, n - 1, GrB_PLUS_FP64) ==
+        GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "clear and build", &level);
+  CHECK(level_of(level, 8) == 8.0 && level_of(level, 15) == 15.0);
+
+  /* a = a*a: the chain of two-hop edges i -> i+2; odd vertices drop out. */
+  CHECK(GrB_Matrix_dup(&b, a) == GrB_SUCCESS);
+  CHECK(GrB_mxm(a, NULL, GrB_NULL_ACCUM, GrB_PLUS_TIMES_SEMIRING_FP64, b, b,
+                NULL) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "mxm into the matrix", &level);
+  CHECK(level_of(level, 2) == 1.0 && level_of(level, 1) == -1.0);
+
+  /* Assign the edge 0 -> 1: vertex 1, then 3, 5, ... come back. */
+  const GrB_Index zero = 0, one = 1;
+  CHECK(GrB_Matrix_assign_FP64(a, NULL, GrB_NULL_ACCUM, 1.0, &zero, 1, &one, 1,
+                               NULL) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "assign into the matrix", &level);
+  CHECK(level_of(level, 1) == 1.0 && level_of(level, 3) == 2.0);
+
+  /* A dup has the same value, so the same results. */
+  CHECK(GrB_Matrix_dup(&d, a) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, d, "dup", &level_d);
+  CHECK(same_vector(level, level_d));
+
+  /* A new matrix, perhaps at the freed one's address: the star 0 -> i. */
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_Matrix_new(&a, n, n) == GrB_SUCCESS);
+  for (GrB_Index i = 1; i < n; ++i) {
+    CHECK(GrB_setElement(a, 1.0, 0, i) == GrB_SUCCESS);
+  }
+  check_runner_matches_fresh(r, a, "free and new", &level);
+  CHECK(level_of(level, 15) == 1.0 && level_of(level, 8) == 1.0);
+
+  CHECK(LAGraph_Runner_free(&r) == GrB_SUCCESS);
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_free(&b) == GrB_SUCCESS);
+  CHECK(GrB_free(&d) == GrB_SUCCESS);
+  CHECK(GrB_free(&level) == GrB_SUCCESS);
+  CHECK(GrB_free(&level_d) == GrB_SUCCESS);
+}
+
+/* A directed graph of n vertices with 4 out-edges each from a fixed LCG. */
+static void fill_lcg_graph(GrB_Matrix a, GrB_Index n, uint64_t state) {
+  for (GrB_Index i = 0; i < n; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const GrB_Index j = (state >> 33) % n;
+      CHECK(GrB_setElement(a, 1.0, i, j) == GrB_SUCCESS);
+    }
+  }
+}
+
+struct canceller {
+  LAGraph_Runner r;
+  atomic_int started, stop;
+};
+
+static void* cancel_until_stopped(void* arg) {
+  struct canceller* c = arg;
+  atomic_store(&c->started, 1);
+  while (!atomic_load(&c->stop)) LAGraph_Runner_cancel(c->r);
+  return NULL;
+}
+
+static void test_runner_interrupted_cold_call(void) {
+  /* A trip during the first call of a Runner stops the algorithms while
+   * they are still building the graph's properties. The next call must give
+   * what an uninterrupted run gives, bit for bit. */
+  const GrB_Index n = 1024;
+  GrB_Matrix a = NULL;
+  GrB_Vector out = NULL;
+  CHECK(GrB_Matrix_new(&a, n, n) == GrB_SUCCESS);
+  fill_lcg_graph(a, n, 777);
+  CHECK(GrB_Vector_new(&out, n) == GrB_SUCCESS);
+
+  /* Slice budgets from one byte up trip at different points of the cold
+   * call, and with no retries the Runner gives up at the first trip. */
+  for (uint64_t budget = 1; budget <= (1u << 20); budget *= 16) {
+    LAGraph_Runner r = NULL;
+    CHECK(LAGraph_Runner_new(&r) == GrB_SUCCESS);
+    CHECK(LAGraph_Runner_set_retry(r, 0, 0.0, 1.0, 1.0) == GrB_SUCCESS);
+    CHECK(LAGraph_Runner_set_slice_budget(r, budget) == GrB_SUCCESS);
+    const GrB_Info cc_info = LAGraph_Runner_cc(out, r, a, NULL);
+    const GrB_Info bfs_info = LAGraph_Runner_bfs_level(out, r, a, 0);
+    CHECK(cc_info == GrB_SUCCESS || cc_info == GrB_OUT_OF_MEMORY);
+    CHECK(bfs_info == GrB_SUCCESS || bfs_info == GrB_OUT_OF_MEMORY);
+    if (budget == 1) CHECK(cc_info == GrB_OUT_OF_MEMORY);
+    CHECK(LAGraph_Runner_set_slice_budget(r, 0) == GrB_SUCCESS);
+    check_runner_matches_fresh(r, a, "a budget trip", NULL);
+    CHECK(LAGraph_Runner_free(&r) == GrB_SUCCESS);
+  }
+
+  /* A cancel from another thread, repeated until the call has returned. The
+   * canceller may not get a core before a short call ends, so each
+   * algorithm gets fresh Runners until one cold call is cancelled. */
+  const char* algos[] = {"cc", "bfs"};
+  for (int k = 0; k < 2; ++k) {
+    int cancelled = 0;
+    for (int attempt = 0; attempt < 100 && !cancelled; ++attempt) {
+      struct canceller c;
+      CHECK(LAGraph_Runner_new(&c.r) == GrB_SUCCESS);
+      atomic_init(&c.started, 0);
+      atomic_init(&c.stop, 0);
+      pthread_t t;
+      CHECK(pthread_create(&t, NULL, cancel_until_stopped, &c) == 0);
+      while (!atomic_load(&c.started)) {
+      }
+      const GrB_Info info = k == 0 ? LAGraph_Runner_cc(out, c.r, a, NULL)
+                                   : LAGraph_Runner_bfs_level(out, c.r, a, 0);
+      atomic_store(&c.stop, 1);
+      CHECK(pthread_join(t, NULL) == 0);
+      CHECK(info == GrB_SUCCESS || info == GxB_CANCELLED);
+      cancelled = info == GxB_CANCELLED;
+      check_runner_matches_fresh(c.r, a, "a cancel", NULL);
+      CHECK(LAGraph_Runner_free(&c.r) == GrB_SUCCESS);
+    }
+    if (!cancelled) {
+      ++failures;
+      fprintf(stderr, "FAIL: no cold %s call was cancelled\n", algos[k]);
+    }
+  }
+
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_free(&out) == GrB_SUCCESS);
+}
+
 static void test_storage_format_options(void) {
   /* GxB sparsity control: pin forms, read status back, and confirm the
    * stored values never depend on the form. */
@@ -778,6 +983,8 @@ int main(void) {
   test_runner_sssp_delta_scc_coloring();
   test_service();
   test_service_matches_runner();
+  test_runner_reuses_graph_until_matrix_changes();
+  test_runner_interrupted_cold_call();
   test_storage_format_options();
   test_c_bfs();
   if (failures == 0) {

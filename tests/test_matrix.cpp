@@ -137,3 +137,121 @@ TEST(Matrix, BoolMatrixWorks) {
   EXPECT_EQ(a.nvals(), 2u);
   EXPECT_EQ(a.extract_element(0, 1).value(), true);
 }
+
+// --- the generation contract ---------------------------------------------------
+// generation() names a matrix's value: it must change at every mutation (a
+// cache keyed on it would otherwise serve a stale value) and must not change
+// on a read (a cache keyed on it would otherwise never hit).
+
+namespace {
+
+Matrix<double> small_matrix() {
+  Matrix<double> a(4, 4);
+  a.set_element(0, 1, 1.0);
+  a.set_element(1, 2, 2.0);
+  a.set_element(3, 0, 3.0);
+  return a;
+}
+
+template <class F>
+bool mutation_changes_generation(Matrix<double>& a, F&& mutate) {
+  const std::uint64_t before = a.generation();
+  mutate(a);
+  return a.generation() != before;
+}
+
+}  // namespace
+
+TEST(MatrixGeneration, EveryMutatorChangesIt) {
+  auto a = small_matrix();
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { m.set_element(2, 2, 5.0); }));
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { m.remove_element(2, 2); }));
+  EXPECT_TRUE(mutation_changes_generation(a, [](auto& m) { m.clear(); }));
+  std::vector<Index> r = {0, 2}, c = {3, 1};
+  std::vector<double> v = {4.0, 6.0};
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [&](auto& m) { m.build(r, c, v, gb::Plus{}); }));
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { m.resize(6, 6); }));
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { m.set_format(gb::FormatMode::bitmap); }));
+  // A store committed through adopt, directly and as a kernel's output.
+  EXPECT_TRUE(mutation_changes_generation(a, [](auto& m) {
+    gb::SparseStore<double> s = small_matrix().by_row();
+    m.adopt(std::move(s), gb::Layout::by_row);
+  }));
+  const auto b = Matrix<double>::identity(6, 2.0);  // a is 6 x 6 by now
+  EXPECT_TRUE(mutation_changes_generation(a, [&](auto& m) {
+    gb::mxm(m, gb::no_mask, gb::no_accum, gb::plus_times<double>(), b, b);
+  }));
+  // Elementwise writes into a dense form change it too.
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { m.set_element(0, 0, 8.0); }));
+}
+
+TEST(MatrixGeneration, ExportsChangeIt) {
+  auto a = small_matrix();
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { (void)m.export_csr(); }));
+  a = small_matrix();
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { (void)m.export_csc(); }));
+  a = small_matrix();
+  a.set_format(gb::FormatMode::bitmap);
+  EXPECT_TRUE(mutation_changes_generation(
+      a, [](auto& m) { (void)m.export_dense(); }));
+}
+
+TEST(MatrixGeneration, MovesHandTheNumberOverAndRenewTheSource) {
+  auto a = small_matrix();
+  const std::uint64_t ga = a.generation();
+  Matrix<double> moved(std::move(a));
+  EXPECT_EQ(moved.generation(), ga);  // same value, same number
+  EXPECT_NE(a.generation(), ga);      // NOLINT(bugprone-use-after-move)
+
+  auto b = small_matrix();
+  const std::uint64_t gb_before = b.generation();
+  Matrix<double> target = small_matrix();
+  const std::uint64_t gt = target.generation();
+  target = std::move(b);
+  EXPECT_NE(target.generation(), gt);
+  EXPECT_EQ(target.generation(), gb_before);
+  EXPECT_NE(b.generation(), gb_before);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(MatrixGeneration, ReadersKeepIt) {
+  auto a = small_matrix();
+  const std::uint64_t g = a.generation();
+  (void)a.nvals();
+  std::vector<Index> r, c;
+  std::vector<double> v;
+  a.extract_tuples(r, c, v);
+  (void)a.by_col();
+  a.ensure_dual_format();
+  a.freeze();
+  const auto snap = a.snapshot();
+  EXPECT_EQ(a.generation(), g);
+  EXPECT_EQ(snap->generation(), g);  // a snapshot is a copy of the value
+}
+
+TEST(MatrixGeneration, CopiesShareItAndNumbersAreNeverReused) {
+  auto a = small_matrix();
+  const auto d = a.dup();
+  EXPECT_EQ(d.generation(), a.generation());
+  Matrix<double> copy = a;
+  EXPECT_EQ(copy.generation(), a.generation());
+  copy.set_element(2, 3, 1.0);  // the copy diverges; the source does not
+  EXPECT_NE(copy.generation(), a.generation());
+
+  // Two matrices with equal contents built one after the other (possibly at
+  // the same address) still get different numbers.
+  std::uint64_t first = 0;
+  {
+    auto t = small_matrix();
+    first = t.generation();
+  }
+  auto t2 = small_matrix();
+  EXPECT_NE(t2.generation(), first);
+}

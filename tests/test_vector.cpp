@@ -51,6 +51,47 @@ TEST(Vector, BuildWithDuplicates) {
   EXPECT_EQ(v.extract_element(4).value(), 4.0);  // 1+3
 }
 
+TEST(Vector, BuildSortedInputKeepsItsOrder) {
+  Vector<double> v(8);
+  std::vector<Index> idx = {0, 2, 3, 7};
+  std::vector<double> val = {1.5, -2, 0, 9};
+  v.build(idx, val, gb::Plus{});
+  std::vector<Index> oi;
+  std::vector<double> ov;
+  v.extract_tuples(oi, ov);
+  EXPECT_EQ(oi, idx);
+  EXPECT_EQ(ov, val);
+  // A bad index ends the check before anything is committed.
+  Vector<double> w(4);
+  std::vector<Index> bad = {0, 1, 9};
+  std::vector<double> bval = {1, 2, 3};
+  EXPECT_THROW(w.build(bad, bval, gb::Plus{}), gb::Error);
+  EXPECT_EQ(w.nvals(), 0u);
+}
+
+TEST(Vector, BuildCombinesDuplicatesInInputOrder) {
+  // Minus is not commutative, so the result shows the combine order:
+  // dup(dup(first, second), third) at each index, in input order.
+  Vector<double> unsorted(6);
+  std::vector<Index> idx = {3, 1, 3, 5, 3};
+  std::vector<double> val = {10, 1, 4, 7, 2};
+  unsorted.build(idx, val, gb::Minus{});
+  EXPECT_EQ(unsorted.nvals(), 3u);
+  EXPECT_EQ(unsorted.extract_element(3).value(), 4.0);  // (10-4)-2
+  EXPECT_EQ(unsorted.extract_element(1).value(), 1.0);
+  // Non-decreasing input with a repeat is not strictly increasing: the
+  // repeat still combines.
+  Vector<double> repeated(4);
+  std::vector<Index> ridx = {0, 1, 1, 1, 2};
+  std::vector<double> rval = {5, 7, 2, 1, 9};
+  repeated.build(ridx, rval, gb::Minus{});
+  EXPECT_EQ(repeated.nvals(), 3u);
+  EXPECT_EQ(repeated.extract_element(1).value(), 4.0);  // (7-2)-1
+  Vector<double> last(4);
+  last.build(ridx, rval, gb::Second{});
+  EXPECT_EQ(last.extract_element(1).value(), 1.0);
+}
+
 TEST(Vector, BuildRejectsBadInput) {
   Vector<double> v(3);
   std::vector<Index> idx = {7};
