@@ -10,7 +10,7 @@
 //   3. C API       — the same back end behind runtime-dispatched operator
 //      handles (the IBM-style layered front end, §II-B).
 #include <cstdio>
-#include <deque>
+#include <vector>
 
 #include "capi/graphblas_c.h"
 #include "lagraph/lagraph.hpp"
@@ -22,12 +22,23 @@ namespace {
 
 using gb::Index;
 
-double bfs_c_api(GrB_Matrix graph, Index n, Index source, int reps) {
+// Each BFS keeps its level vector in bitmap form (Fig. 3's dense side), as
+// lagraph::bfs does, so the masked level record stores only at the
+// frontier's positions in both front ends.
+
+struct BfsTime {
+  double ms = 0;
+  Index depth = 0;
+};
+
+BfsTime bfs_c_api(GrB_Matrix graph, Index n, Index source, int reps) {
+  BfsTime out;
   gb::platform::Timer t;
   for (int r = 0; r < reps; ++r) {
     GrB_Vector frontier = nullptr, levels = nullptr;
     GrB_Vector_new(&frontier, n);
     GrB_Vector_new(&levels, n);
+    GxB_Vector_Option_set(levels, GxB_SPARSITY_CONTROL, GxB_BITMAP);
     GrB_Vector_setElement_FP64(frontier, 1.0, source);
     GrB_Descriptor desc = nullptr, desc_s = nullptr;
     GrB_Descriptor_new(&desc);
@@ -46,34 +57,41 @@ double bfs_c_api(GrB_Matrix graph, Index n, Index source, int reps) {
               frontier, desc);
       GrB_Vector_nvals(&nvals, frontier);
     }
+    out.depth = depth;
     GrB_Vector_free(&frontier);
     GrB_Vector_free(&levels);
     GrB_Descriptor_free(&desc);
     GrB_Descriptor_free(&desc_s);
   }
-  return t.millis() / reps;
+  out.ms = t.millis() / reps;
+  return out;
 }
 
-double bfs_cpp(const lagraph::Graph& g, Index source, int reps) {
+BfsTime bfs_cpp(const lagraph::Graph& g, Index source, int reps) {
   // The exact Fig. 2 levels-only loop via the C++ layer, so all three
   // contenders run the same algorithm (lagraph::bfs would also compute
   // parents).
   const Index n = g.nrows();
+  BfsTime out;
   gb::platform::Timer t;
   for (int r = 0; r < reps; ++r) {
     gb::Vector<double> levels(n);
+    levels.set_format(gb::FormatMode::bitmap);
     gb::Vector<bool> frontier(n);
     frontier.set_element(source, true);
-    double depth = 0;
+    Index depth = 0;
     while (frontier.nvals() > 0) {
       ++depth;
-      gb::assign_scalar(levels, frontier, gb::no_accum, depth,
-                        gb::IndexSel::all(n), gb::desc_s);
+      gb::assign_scalar(levels, frontier, gb::no_accum,
+                        static_cast<double>(depth), gb::IndexSel::all(n),
+                        gb::desc_s);
       gb::vxm(frontier, levels, gb::no_accum, gb::lor_land(), frontier,
               g.adj(), gb::desc_rsc);
     }
+    out.depth = depth;
   }
-  return t.millis() / reps;
+  out.ms = t.millis() / reps;
+  return out;
 }
 
 double bfs_direct(const ref::SimpleGraph& sg, Index source, int reps) {
@@ -82,25 +100,40 @@ double bfs_direct(const ref::SimpleGraph& sg, Index source, int reps) {
   return t.millis() / reps;
 }
 
+struct Workload {
+  const char* name;
+  gb::Matrix<double> adj;
+  bool hub_source;  // start at the highest-degree vertex, else at vertex 0
+};
+
 }  // namespace
 
 int main() {
   std::printf("C8 (§III): performance cost of API layers — direct vs C++ "
               "GraphBLAS vs C API\n\n");
-  std::printf("BFS, same graph, same algorithm family (times in ms):\n");
-  std::printf("%-18s %10s %12s %10s %12s %12s\n", "graph", "direct",
-              "C++ (gb::)", "C API", "C++/direct", "C-API/C++");
+  std::printf("BFS, same graph, same algorithm family (times in ms; the "
+              "per-level column is the C++ time / depth):\n");
+  std::printf("%-18s %10s %12s %10s %12s %12s %6s %12s\n", "graph", "direct",
+              "C++ (gb::)", "C API", "C++/direct", "C-API/C++", "depth",
+              "C++ us/lvl");
 
-  for (int scale : {10, 12, 13}) {
-    auto adj = lagraph::rmat(scale, 8, 77);
-    const Index n = adj.nrows();
-    lagraph::Graph g(adj.dup(), lagraph::Kind::undirected);
+  std::vector<Workload> graphs;
+  graphs.push_back({"rmat-10 ef=8", lagraph::rmat(10, 8, 77), true});
+  graphs.push_back({"rmat-12 ef=8", lagraph::rmat(12, 8, 77), true});
+  graphs.push_back({"rmat-13 ef=8", lagraph::rmat(13, 8, 77), true});
+  graphs.push_back({"grid 128x128", lagraph::grid2d(128, 128), false});
+  graphs.push_back({"grid 256x256", lagraph::grid2d(256, 256), false});
+
+  for (auto& w : graphs) {
+    const Index n = w.adj.nrows();
+    lagraph::Graph g(w.adj.dup(), lagraph::Kind::undirected);
     auto sg = ref::SimpleGraph::from_matrix(g.adj());
 
-    // Hub source.
-    Index hub = 0;
-    for (Index v = 1; v < n; ++v) {
-      if (sg.adj[v].size() > sg.adj[hub].size()) hub = v;
+    Index source = 0;
+    if (w.hub_source) {
+      for (Index v = 1; v < n; ++v) {
+        if (sg.adj[v].size() > sg.adj[source].size()) source = v;
+      }
     }
 
     GrB_Matrix cg = nullptr;
@@ -108,20 +141,20 @@ int main() {
     {
       std::vector<Index> r, c;
       std::vector<double> v;
-      adj.extract_tuples(r, c, v);
+      w.adj.extract_tuples(r, c, v);
       GrB_Matrix_build_FP64(cg, r.data(), c.data(), v.data(), r.size(),
                             GrB_SECOND_FP64);
       GrB_Matrix_wait(cg);
     }
 
     const int reps = 5;
-    double direct = bfs_direct(sg, hub, reps);
-    double cpp = bfs_cpp(g, hub, reps);
-    double capi = bfs_c_api(cg, n, hub, reps);
-    char name[32];
-    std::snprintf(name, sizeof(name), "rmat-%d ef=8", scale);
-    std::printf("%-18s %10.3f %12.3f %10.3f %11.1fx %11.1fx\n", name, direct,
-                cpp, capi, cpp / direct, capi / cpp);
+    const double direct = bfs_direct(sg, source, reps);
+    const BfsTime cpp = bfs_cpp(g, source, reps);
+    const BfsTime capi = bfs_c_api(cg, n, source, reps);
+    std::printf("%-18s %10.3f %12.3f %10.3f %11.1fx %11.1fx %6llu %12.1f\n",
+                w.name, direct, cpp.ms, capi.ms, cpp.ms / direct,
+                capi.ms / cpp.ms, static_cast<unsigned long long>(cpp.depth),
+                1000.0 * cpp.ms / static_cast<double>(cpp.depth));
     GrB_Matrix_free(&cg);
   }
 

@@ -342,6 +342,14 @@ GrB_Info GrB_Matrix_clear(GrB_Matrix a) {
   });
 }
 
+GrB_Info GrB_Matrix_resize(GrB_Matrix a, GrB_Index nrows, GrB_Index ncols) {
+  if (!a) return GrB_NULL_POINTER;
+  return guarded_at(a, [&] {
+    a->m.resize(nrows, ncols);
+    return GrB_SUCCESS;
+  });
+}
+
 GrB_Info GrB_Matrix_nrows(GrB_Index* n, GrB_Matrix a) {
   if (!n || !a) return GrB_NULL_POINTER;
   *n = a->m.nrows();
@@ -389,6 +397,14 @@ GrB_Info GrB_Vector_clear(GrB_Vector v) {
   if (!v) return GrB_NULL_POINTER;
   return guarded_at(v, [&] {
     v->v.clear();
+    return GrB_SUCCESS;
+  });
+}
+
+GrB_Info GrB_Vector_resize(GrB_Vector v, GrB_Index n) {
+  if (!v) return GrB_NULL_POINTER;
+  return guarded_at(v, [&] {
+    v->v.resize(n);
     return GrB_SUCCESS;
   });
 }

@@ -137,6 +137,9 @@ GrB_Info GrB_Matrix_clear(GrB_Matrix a);
 GrB_Info GrB_Matrix_nrows(GrB_Index* n, GrB_Matrix a);
 GrB_Info GrB_Matrix_ncols(GrB_Index* n, GrB_Matrix a);
 GrB_Info GrB_Matrix_nvals(GrB_Index* n, GrB_Matrix a);
+/* Change the dimensions in place; entries outside the new shape are
+   dropped. */
+GrB_Info GrB_Matrix_resize(GrB_Matrix a, GrB_Index nrows, GrB_Index ncols);
 
 GrB_Info GrB_Vector_new(GrB_Vector* v, GrB_Index n);
 GrB_Info GrB_Vector_free(GrB_Vector* v);
@@ -144,6 +147,7 @@ GrB_Info GrB_Vector_dup(GrB_Vector* out, GrB_Vector v);
 GrB_Info GrB_Vector_clear(GrB_Vector v);
 GrB_Info GrB_Vector_size(GrB_Index* n, GrB_Vector v);
 GrB_Info GrB_Vector_nvals(GrB_Index* n, GrB_Vector v);
+GrB_Info GrB_Vector_resize(GrB_Vector v, GrB_Index n);
 
 GrB_Info GrB_Descriptor_new(GrB_Descriptor* d);
 GrB_Info GrB_Descriptor_free(GrB_Descriptor* d);

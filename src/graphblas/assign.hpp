@@ -140,6 +140,65 @@ void assign_scalar(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
       return;
     }
   }
+  // Masked whole-vector expansion (Fig. 2's level record, w<m> = s): the
+  // result is w with s written (accum'd) where the mask allows, so a plain
+  // mask needs only the mask's allowed positions. A bitmap or full w takes
+  // them in place; otherwise one merge of w with those positions builds the
+  // result — no n-entry region list, no second pass through write_back.
+  if constexpr (is_masked<MaskArg>) {
+    if (isel.is_all() && !desc.mask_complement) {
+      check_dims(mask.size() == w.size(), "assign_scalar: mask size");
+      const detail::VectorMaskArrays<MaskArg> m(mask, desc);
+      auto z_at = [&](bool in_w, const storage_t<CT>& old) -> CT {
+        if constexpr (is_accum<Accum>) {
+          if (in_w) return static_cast<CT>(accum(old, s));
+        } else {
+          (void)in_w;
+          (void)old;
+        }
+        return static_cast<CT>(s);
+      };
+      Buf<Index> ti;
+      Buf<storage_t<CT>> tv;
+      if (detail::stores_in_place(w, mask, desc)) {
+        const auto wv = w.dense_values();
+        const bool w_full = w.is_full_rep();
+        std::span<const std::uint8_t> wp;
+        if (!w_full) wp = w.present();
+        detail::for_each_allowed(m, [&](Index i) {
+          ti.push_back(i);
+          tv.push_back(z_at(w_full || wp[i], wv[i]));
+        });
+        w.store_dense(ti, tv, {});
+        return;
+      }
+      const auto wc = detail::read_content(w);
+      const auto& wi = wc.i;
+      const auto& wv = wc.v;
+      ti.reserve(wi.size());
+      tv.reserve(wi.size());
+      std::size_t a = 0;
+      auto keep_until = [&](Index end) {
+        for (; a < wi.size() && wi[a] < end; ++a) {
+          if ((a & 1023) == 0) platform::governor_poll();
+          if (!desc.replace) {  // outside the mask
+            ti.push_back(wi[a]);
+            tv.push_back(wv[a]);
+          }
+        }
+      };
+      detail::for_each_allowed(m, [&](Index i) {
+        keep_until(i);
+        const bool in_w = a < wi.size() && wi[a] == i;
+        ti.push_back(i);
+        tv.push_back(z_at(in_w, in_w ? wv[a] : storage_t<CT>{}));
+        if (in_w) ++a;
+      });
+      keep_until(all_indices);
+      w.commit_result(std::move(ti), std::move(tv));
+      return;
+    }
+  }
   const auto wc = detail::read_content(w);
   const auto& wi = wc.i;
   const auto& wv = wc.v;

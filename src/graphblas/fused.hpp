@@ -174,7 +174,7 @@ template <class M, class F, class UT, detail::VectorMaskArg MaskArg>
     apply(t, mask, no_accum, f, u, desc);
     return reduce_scalar(monoid, t);
   }
-  VectorMaskProbe<MaskArg> probe(mask, u.size(), desc);
+  VectorMaskCursor<MaskArg> allowed(mask, desc);  // tested in index order
   ZT acc = monoid.identity;
   if (u.is_dense_rep()) {
     const bool u_full = u.is_full_rep();
@@ -184,7 +184,7 @@ template <class M, class F, class UT, detail::VectorMaskArg MaskArg>
     for (Index i = 0; i < u.size(); ++i) {
       if ((i & 1023) == 0) platform::governor_poll();
       if (!u_full && !present[i]) continue;
-      if (!probe.test(i)) continue;
+      if (!allowed.test(i)) continue;
       const storage_t<ZT> mid = static_cast<ZT>(f(values[i]));
       acc = monoid(acc, static_cast<ZT>(mid));
       if (monoid.is_terminal(acc)) break;
@@ -194,7 +194,7 @@ template <class M, class F, class UT, detail::VectorMaskArg MaskArg>
     auto val = u.values();
     for (std::size_t k = 0; k < val.size(); ++k) {
       if ((k & 1023) == 0) platform::governor_poll();
-      if (!probe.test(idx[k])) continue;
+      if (!allowed.test(idx[k])) continue;
       const storage_t<ZT> mid = static_cast<ZT>(f(val[k]));
       acc = monoid(acc, static_cast<ZT>(mid));
       if (monoid.is_terminal(acc)) break;

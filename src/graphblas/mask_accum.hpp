@@ -14,7 +14,10 @@
 // SparseStore (matrices).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <type_traits>
 
 #include "graphblas/descriptor.hpp"
@@ -71,44 +74,166 @@ VecContent<CT> read_content(const Vector<CT>& w) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Mask probes
+// Vector masks, read in place
 // ---------------------------------------------------------------------------
 
-/// O(1)-testable view of a vector mask: a byte per position, 1 = writable.
-/// Building it costs O(n + nvals(mask)); ops at repro scale are fine with
-/// that, and it makes complemented masks free.
+namespace detail {
+
+/// The stored value type of a mask argument (int for GrB_NULL).
+template <class M>
+struct mask_value {
+  using type = int;
+};
+template <class M>
+  requires requires { typename M::value_type; }
+struct mask_value<M> {
+  using type = storage_t<typename M::value_type>;
+};
+template <class MaskArg>
+using mask_value_t = typename mask_value<std::decay_t<MaskArg>>::type;
+
+/// A vector mask's own arrays, never copied: the presence and value arrays
+/// of a bitmap or full mask, the sorted index and value arrays of a sparse
+/// one. Complement is left to the reader.
+template <class MaskArg>
+struct VectorMaskArrays {
+  using MV = mask_value_t<MaskArg>;
+
+  VectorMaskArrays(const MaskArg& mask, const Descriptor& desc)
+      : n(mask.size()),
+        dense(mask.is_dense_rep()),
+        structural(desc.mask_structural) {
+    if (dense) {
+      full = mask.is_full_rep();  // a full mask keeps no presence map
+      if (!full) present = mask.present();
+      val = mask.dense_values();
+    } else {
+      idx = mask.indices();
+      val = mask.values();
+    }
+  }
+
+  /// Dense form: does position i hold a truthy entry?
+  [[nodiscard]] bool truthy_at(Index i) const noexcept {
+    return (full || present[i]) && (structural || val[i] != MV{});
+  }
+  /// Sparse form: is stored entry k truthy?
+  [[nodiscard]] bool truthy_entry(std::size_t k) const noexcept {
+    return structural || val[k] != MV{};
+  }
+
+  Index n;
+  bool dense;
+  bool structural;
+  bool full = false;
+  std::span<const std::uint8_t> present;  // dense and not full
+  std::span<const Index> idx;             // sparse
+  std::span<const MV> val;  // dense: by position; sparse: by entry
+};
+
+/// f(i) for every position i a plain (non-complemented) mask allows, in
+/// increasing order: one walk of the stored entries of a sparse mask, one
+/// scan of a bitmap or full one.
+template <class MaskArg, class F>
+void for_each_allowed(const VectorMaskArrays<MaskArg>& m, F&& f) {
+  if (m.dense) {
+    for (Index i = 0; i < m.n; ++i) {
+      if ((i & 1023) == 0) platform::governor_poll();
+      if (m.truthy_at(i)) f(i);
+    }
+  } else {
+    for (std::size_t k = 0; k < m.idx.size(); ++k) {
+      if ((k & 1023) == 0) platform::governor_poll();
+      if (m.truthy_entry(k)) f(m.idx[k]);
+    }
+  }
+}
+
+/// The first k >= from with idx[k] >= i, for sorted idx: an exponential
+/// probe, then a binary search — O(log distance), so a cursor that skips
+/// far ahead does not walk every entry it passes.
+inline std::size_t gallop(std::span<const Index> idx, std::size_t from,
+                          Index i) noexcept {
+  // An ordered merge mostly stays put or steps to the next entry.
+  if (from >= idx.size() || idx[from] >= i) return from;
+  if (++from >= idx.size() || idx[from] >= i) return from;
+  std::size_t lo = from;  // idx[lo] < i
+  std::size_t step = 1;
+  std::size_t hi = from + 1;
+  while (hi < idx.size() && idx[hi] < i) {
+    lo = hi;
+    step *= 2;
+    hi = lo + step;
+  }
+  if (hi > idx.size()) hi = idx.size();
+  const auto first = idx.begin() + static_cast<std::ptrdiff_t>(lo + 1);
+  const auto last = idx.begin() + static_cast<std::ptrdiff_t>(hi);
+  return static_cast<std::size_t>(std::lower_bound(first, last, i) -
+                                  idx.begin());
+}
+
+}  // namespace detail
+
+/// Forward cursor over a vector mask for merges: test(i) with i
+/// non-decreasing between calls. A bitmap or full mask answers from its
+/// arrays in O(1); a sparse mask advances a galloping cursor over its stored
+/// entries. Nothing is allocated and the mask is never copied.
+template <class MaskArg>
+class VectorMaskCursor {
+ public:
+  VectorMaskCursor(const MaskArg& mask, const Descriptor& desc)
+      : m_(mask, desc), complement_(desc.mask_complement) {}
+
+  [[nodiscard]] bool test(Index i) noexcept {
+    bool hit;
+    if (m_.dense) {
+      hit = m_.truthy_at(i);
+    } else {
+      pos_ = detail::gallop(m_.idx, pos_, i);
+      hit = pos_ < m_.idx.size() && m_.idx[pos_] == i &&
+            m_.truthy_entry(pos_);
+    }
+    return hit != complement_;
+  }
+
+ private:
+  detail::VectorMaskArrays<MaskArg> m_;
+  bool complement_;
+  std::size_t pos_ = 0;
+};
+
+template <>
+class VectorMaskCursor<NoMask> {
+ public:
+  VectorMaskCursor(const NoMask&, const Descriptor&) noexcept {}
+  [[nodiscard]] static bool test(Index) noexcept { return true; }
+};
+
+/// O(1)-testable view of a vector mask for the kernels, which test
+/// positions in any order (several threads may share it read-only). A
+/// bitmap or full mask is read in place through its arrays. A sparse mask
+/// is expanded into a byte per position, 1 = writable: O(n + nvals(mask)),
+/// and complemented masks cost nothing extra.
 template <class MaskArg>
 class VectorMaskProbe {
  public:
   VectorMaskProbe(const MaskArg& mask, Index n, const Descriptor& desc) {
     if constexpr (is_masked<MaskArg>) {
+      complement_ = desc.mask_complement;
+      const auto& m = arrays_.emplace(mask, desc);
+      if (m.dense) return;
       auto& allow_ = *allow_h_;
-      allow_.assign(n, desc.mask_complement ? std::uint8_t{1} : std::uint8_t{0});
-      const std::uint8_t on = desc.mask_complement ? 0 : 1;
-      if (mask.is_dense_rep()) {
-        auto present = mask.present();
-        auto values = mask.dense_values();
-        using MV = std::decay_t<decltype(values[0])>;
-        for (Index i = 0; i < n; ++i) {
-          if (present[i] && (desc.mask_structural || values[i] != MV{})) {
-            allow_[i] = on;
-          }
-        }
-      } else {
-        auto idx = mask.indices();
-        auto val = mask.values();
-        using MV = std::decay_t<decltype(val[0])>;
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          if (desc.mask_structural || val[k] != MV{}) {
-            allow_[idx[k]] = on;
-          }
-        }
+      allow_.assign(n, complement_ ? std::uint8_t{1} : std::uint8_t{0});
+      const std::uint8_t on = complement_ ? 0 : 1;
+      for (std::size_t k = 0; k < m.idx.size(); ++k) {
+        if (m.truthy_entry(k)) allow_[m.idx[k]] = on;
       }
     }
   }
 
   [[nodiscard]] bool test(Index i) const noexcept {
     if constexpr (is_masked<MaskArg>) {
+      if (arrays_->dense) return arrays_->truthy_at(i) != complement_;
       return (*allow_h_)[i] != 0;
     } else {
       (void)i;
@@ -117,8 +242,10 @@ class VectorMaskProbe {
   }
 
  private:
-  // Retained workspace; empty when unmasked. The probe must be destroyed on
-  // the thread that built it (kernels only share it read-only).
+  std::optional<detail::VectorMaskArrays<MaskArg>> arrays_;
+  bool complement_ = false;
+  // Retained workspace; empty unless the mask is sparse. The probe must be
+  // destroyed on the thread that built it (kernels only share it read-only).
   platform::WsBuf<std::uint8_t, detail::ws_vec_mask_allow> allow_h_;
 };
 
@@ -198,16 +325,81 @@ class MatrixMaskProbe {
 // Vector write-back
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Whether a masked write into `c` may store straight into c's arrays
+/// (Fig. 3's dense side), touching only the positions the mask allows: c
+/// is held in bitmap or full form, is not a frozen snapshot and does not
+/// prefer the sparse form; the mask is plain (not complemented), there is
+/// no replace, and the mask is not c itself.
+template <class CT, class MaskArg>
+[[nodiscard]] bool stores_in_place(const Vector<CT>& c, const MaskArg& mask,
+                                   const Descriptor& desc) {
+  if (static_cast<const void*>(&mask) == static_cast<const void*>(&c))
+    return false;
+  return !desc.mask_complement && !desc.replace && !c.frozen() &&
+         c.format_mode() != FormatMode::sparse && c.is_dense_rep();
+}
+
+/// The in-place write-back, O(nvals(mask) + |T|) for a sparse mask: the
+/// positions the mask allows take Z's entry, or lose C's where Z has none.
+/// Everything that can fail (reads, casts, polls, the scratch lists and, on
+/// a full C that loses entries, its presence map) happens before
+/// store_dense(), which only stores.
+template <class CT, class ZT, class MaskArg, class Accum>
+void write_back_in_place(Vector<CT>& c, const MaskArg& mask,
+                         const Accum& accum, const Buf<Index>& ti,
+                         const Buf<ZT>& tv, const Descriptor& desc) {
+  const auto cv = c.dense_values();
+  const bool c_full = c.is_full_rep();
+  std::span<const std::uint8_t> cp;
+  if (!c_full) cp = c.present();
+  Buf<Index> si;
+  Buf<storage_t<CT>> sv;
+  Buf<Index> di;
+  if constexpr (is_accum<Accum>) {
+    // Z = C wherever T has no entry, so only T's entries can change C.
+    VectorMaskCursor<MaskArg> allowed(mask, desc);
+    si.reserve(ti.size());
+    sv.reserve(ti.size());
+    for (std::size_t k = 0; k < ti.size(); ++k) {
+      if ((k & 1023) == 0) platform::governor_poll();
+      const Index i = ti[k];
+      if (!allowed.test(i)) continue;
+      si.push_back(i);
+      sv.push_back(c_full || cp[i] ? static_cast<CT>(accum(cv[i], tv[k]))
+                                   : static_cast<CT>(tv[k]));
+    }
+  } else {
+    (void)accum;
+    const VectorMaskArrays<MaskArg> m(mask, desc);
+    std::size_t b = 0;
+    for_each_allowed(m, [&](Index i) {
+      b = gallop(std::span<const Index>(ti), b, i);
+      if (b < ti.size() && ti[b] == i) {
+        si.push_back(i);
+        sv.push_back(static_cast<CT>(tv[b]));
+      } else if (c_full || cp[i]) {
+        di.push_back(i);
+      }
+    });
+    if (!di.empty() && c_full) (void)c.present();  // last step that allocates
+  }
+  c.store_dense(si, sv, di);
+}
+
+}  // namespace detail
+
 /// C<M, replace> accum= T, where T arrives as sorted, duplicate-free
 /// coordinate arrays (ti, tv) in metered storage. All scratch that will be
 /// committed into C is assembled first; commit_result applies C's
 /// storage-form preference *before* touching C, so an allocation failure
 /// anywhere in here (including the form conversion) leaves C untouched.
+/// A plain masked write into a bitmap or full C stores in place instead
+/// (detail::stores_in_place), costing the mask's entries rather than n.
 template <class CT, class ZT, class MaskArg, class Accum>
 void write_back(Vector<CT>& c, const MaskArg& mask, const Accum& accum,
                 Buf<Index>&& ti, Buf<ZT>&& tv, const Descriptor& desc) {
-  const Index n = c.size();
-
   // Fast path: unmasked, no accumulator — C simply becomes T.
   if constexpr (!is_masked<MaskArg> && !is_accum<Accum>) {
     (void)mask;
@@ -218,6 +410,12 @@ void write_back(Vector<CT>& c, const MaskArg& mask, const Accum& accum,
     c.commit_result(std::move(ti), std::move(cast));
     return;
   } else {
+    if constexpr (is_masked<MaskArg>) {
+      if (detail::stores_in_place(c, mask, desc)) {
+        detail::write_back_in_place(c, mask, accum, ti, tv, desc);
+        return;
+      }
+    }
     const auto cc = detail::read_content(c);
     const auto& ci = cc.i;
     const auto& cv = cc.v;
@@ -254,7 +452,7 @@ void write_back(Vector<CT>& c, const MaskArg& mask, const Accum& accum,
     }
 
     // Step 2: mask filter over union(Z, C_old).
-    VectorMaskProbe<MaskArg> probe(mask, n, desc);
+    VectorMaskCursor<MaskArg> allowed(mask, desc);
     Buf<Index> oi;
     Buf<storage_t<CT>> ov;
     oi.reserve(zi.size());
@@ -276,7 +474,7 @@ void write_back(Vector<CT>& c, const MaskArg& mask, const Accum& accum,
         i = ci[a];
         in_c = in_z = true;
       }
-      if (probe.test(i)) {
+      if (allowed.test(i)) {
         if (in_z) {
           oi.push_back(i);
           ov.push_back(zv[b]);

@@ -154,7 +154,12 @@ void mxv_push(const SparseStore<AT>& cols, Index out_dim, const Vector<UT>& u,
     for (Index r : touched) {
       ti.push_back(r);
       tv.push_back(acc[r]);
+      present[r] = 0;
     }
+    // Every present slot is clear again, and acc is only read where present
+    // is set: both go back at size, so the next push skips the 9n-byte fill.
+    acc_h.keep_contents();
+    present_h.keep_contents();
   } else {
     // Hypersparse regime: hash accumulator, metered + fault-injectable.
     BufMap<Index, ZT> acc;
@@ -340,6 +345,16 @@ MxvMethod mxv(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
   MxvMethod method = detail::mxv_pick_method(u, desc);
 
   using ZT = typename SR::value_type;
+  if constexpr (is_masked<MaskArg>) {
+    // The probe reads a bitmap or full mask in place, and the mask may be u
+    // itself: give u the form its kernel reads first, so no conversion
+    // inside the kernel frees the arrays the probe holds.
+    if (method == MxvMethod::push) {
+      (void)u.indices();
+    } else {
+      (void)u.dense_values();
+    }
+  }
   VectorMaskProbe<MaskArg> probe(mask, out_dim, desc);
 
   // Kernel-native dense output: when nothing stands between the kernel's

@@ -571,6 +571,34 @@ class Vector {
     maybe_collapse_to_full();
   }
 
+  /// In-place commit into the bitmap/full form, O(|si| + |di|) instead of
+  /// O(n): position si[k] takes sv[k], and each position in di loses its
+  /// entry. The masked writes use it once everything that can fail is done:
+  /// the rep must be dense and not frozen, and when di is non-empty on a
+  /// full rep the caller has materialised the presence map (present()).
+  void store_dense(std::span<const Index> si,
+                   std::span<const storage_t<T>> sv,
+                   std::span<const Index> di) noexcept {
+    unsnap();
+    for (std::size_t k = 0; k < si.size(); ++k) {
+      const Index i = si[k];
+      dval_[i] = sv[k];
+      if (!full_ && !dpresent_[i]) {
+        dpresent_[i] = 1;
+        ++dnvals_;
+      }
+    }
+    if (!di.empty()) full_ = false;  // the map is already all ones
+    for (Index i : di) {
+      if (dpresent_[i]) {
+        dpresent_[i] = 0;
+        dval_[i] = storage_t<T>{};
+        --dnvals_;
+      }
+    }
+    maybe_collapse_to_full();
+  }
+
   // --- non-blocking materialisation --------------------------------------------
 
   /// GrB_Vector_wait: kill zombies, assemble pending tuples. One

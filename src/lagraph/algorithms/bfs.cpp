@@ -208,6 +208,14 @@ BfsResult bfs(const Graph& g, Index source, BfsVariant variant,
       frontier = gb::Vector<std::uint64_t>(n);
       frontier.set_element(source, source);
     }
+    // Fig. 3's dense side: with level and parent held in bitmap form, each
+    // level's masked records store only at the frontier's positions, and
+    // the !level mask of the expansion is read in place — a level costs
+    // O(frontier), not O(n).
+    if (gb::dense_form_addressable(n, 1)) {
+      res.level.to_dense();
+      res.parent.to_dense();
+    }
   });
   if (setup != StopReason::none) {
     res.stop = setup;

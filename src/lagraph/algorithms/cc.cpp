@@ -13,8 +13,7 @@ namespace lagraph {
 
 CcResult connected_components_run(const Graph& g, const Checkpoint* resume) {
   check_graph(g, "connected_components");
-  const auto& a = g.undirected_view();
-  const Index n = a.nrows();
+  const Index n = g.adj().nrows();
 
   CcResult res;
   Scope scope;
@@ -24,8 +23,12 @@ CcResult connected_components_run(const Graph& g, const Checkpoint* resume) {
   }
 
   // f = 0..n-1 (every vertex its own parent), or the capsule's iterate.
+  // The A|Aᵀ view is built inside the governed setup step, so a trip while
+  // building it returns clean telemetry like any other step.
+  const gb::Matrix<double>* view = nullptr;
   gb::Vector<std::uint64_t> f;
   StopReason setup = scope.step([&] {
+    view = &g.undirected_view();
     if (resume != nullptr && !resume->empty()) {
       f = resume->get_vector<std::uint64_t>("f");
       gb::check_value(f.size() == n,
@@ -44,6 +47,7 @@ CcResult connected_components_run(const Graph& g, const Checkpoint* resume) {
     res.stop = setup;
     return res;
   }
+  const auto& a = *view;
 
   auto capture = [&] {
     capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {

@@ -93,8 +93,8 @@ class Pool {
     return b;
   }
 
-  void give_back(Buf<T>&& b) noexcept {
-    b.clear();  // destroy elements, keep capacity
+  void give_back(Buf<T>&& b, bool keep_contents = false) noexcept {
+    if (!keep_contents) b.clear();  // destroy elements, keep capacity
     auto& st = arena().stats;
     if (count_ < kDepth) {
       st.cached_bytes += b.capacity() * sizeof(T);
@@ -153,20 +153,31 @@ class [[nodiscard]] WsBuf {
  public:
   WsBuf() : buf_(ws_detail::Pool<T, Site>::local().take()) {}
 
-  /// Checkout sized to n value-initialized elements. May throw bad_alloc
+  /// Checkout sized to n elements: value-initialized, except for those a
+  /// keep_contents() check-in left at this site. May throw bad_alloc
   /// (the growth goes through Alloc, so it is a fault-injection point); the
   /// already-checked-out buffer is returned to the pool on that path.
   explicit WsBuf(std::size_t n) : WsBuf() { buf_.resize(n); }
 
   WsBuf(WsBuf&& other) noexcept
-      : buf_(std::move(other.buf_)), owns_(std::exchange(other.owns_, false)) {}
+      : buf_(std::move(other.buf_)),
+        owns_(std::exchange(other.owns_, false)),
+        keep_(other.keep_) {}
   WsBuf& operator=(WsBuf&&) = delete;
   WsBuf(const WsBuf&) = delete;
   WsBuf& operator=(const WsBuf&) = delete;
 
   ~WsBuf() {
-    if (owns_) ws_detail::Pool<T, Site>::local().give_back(std::move(buf_));
+    if (owns_)
+      ws_detail::Pool<T, Site>::local().give_back(std::move(buf_), keep_);
   }
+
+  /// Check the buffer back in with its elements rather than cleared, so the
+  /// next sized checkout at this site starts from them and skips the
+  /// n-element fill. A sparse accumulator calls it once it has reset the
+  /// slots it dirtied; a handle destroyed without it (an exception
+  /// unwinding the kernel) checks in cleared as usual.
+  void keep_contents() noexcept { keep_ = true; }
 
   Buf<T>& operator*() noexcept { return buf_; }
   const Buf<T>& operator*() const noexcept { return buf_; }
@@ -176,6 +187,7 @@ class [[nodiscard]] WsBuf {
  private:
   Buf<T> buf_;
   bool owns_ = true;
+  bool keep_ = false;
 };
 
 /// Facade over the thread-local pools.

@@ -3,9 +3,16 @@
 // scale-free inputs.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
 #include "lagraph/util/generator.hpp"
+#include "platform/governor.hpp"
 #include "reference/simple_graph.hpp"
 
 using gb::Index;
@@ -129,4 +136,100 @@ TEST(Bfs, ParentCarriesMinimumIdWithMinFirst) {
   Graph g(std::move(a), Kind::directed);
   auto res = bfs(g, 0);
   EXPECT_EQ(res.parent.extract_element(3).value(), 1);  // min(1, 2)
+}
+
+// --- Frontier-cost traversal: same bits at every thread count ----------------
+//
+// level and parent are held in bitmap form for the whole traversal, so each
+// level's records store only at the frontier's positions. The result must
+// still equal the textbook queue BFS, carry a valid parent tree, and be
+// bit-identical at 1, 2 and 4 threads. (ctest also runs this binary with
+// every container's storage form forced and with fusion off.)
+
+namespace {
+
+using Tuples = std::pair<std::vector<Index>, std::vector<std::int64_t>>;
+
+Tuples tuples(const gb::Vector<std::int64_t>& v) {
+  Tuples t;
+  v.extract_tuples(t.first, t.second);
+  return t;
+}
+
+class OmpThreads {
+ public:
+  explicit OmpThreads(int n) : before_(omp_get_max_threads()) {
+    omp_set_num_threads(n);
+  }
+  ~OmpThreads() { omp_set_num_threads(before_); }
+  OmpThreads(const OmpThreads&) = delete;
+  OmpThreads& operator=(const OmpThreads&) = delete;
+
+ private:
+  int before_;
+};
+
+}  // namespace
+
+TEST(BfsFrontierCost, LevelsAndParentsAtOneTwoFourThreads) {
+  struct Case {
+    const char* name;
+    Graph g;
+    Index src;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"rmat", Graph(rmat(10, 8, 5), Kind::undirected), 3});
+  cases.push_back({"path", Graph(path_graph(300), Kind::undirected), 17});
+  cases.push_back({"grid64", Graph(grid2d(64, 64), Kind::undirected), 0});
+  for (const auto& c : cases) {
+    for (BfsVariant variant :
+         {BfsVariant::push, BfsVariant::pull,
+          BfsVariant::direction_optimizing}) {
+      std::tuple<Tuples, Tuples, std::int64_t> first;
+      for (int threads : {1, 2, 4}) {
+        OmpThreads scoped(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " variant " << static_cast<int>(variant)
+                     << " threads " << threads);
+        expect_bfs_correct(c.g, c.src, variant);
+        auto res = bfs(c.g, c.src, variant);
+        auto got = std::make_tuple(tuples(res.level), tuples(res.parent),
+                                   res.depth);
+        if (threads == 1) {
+          first = got;
+        } else {
+          EXPECT_EQ(got, first) << "differs from the 1-thread run";
+        }
+      }
+    }
+  }
+}
+
+TEST(BfsFrontierCost, ResumedRunGivesTheSameBits) {
+  using gb::platform::Governor;
+  Graph g(grid2d(64, 64), Kind::undirected);
+  const auto base = bfs(g, 5, BfsVariant::direction_optimizing);
+  ASSERT_EQ(base.stop, StopReason::none);
+  int resumed_mid_traversal = 0;
+  for (std::uint64_t n : {0, 1, 3, 10, 40, 120, 300, 700}) {
+    Checkpoint cp;
+    {
+      Governor gov;
+      gb::platform::GovernorScope governed(&gov);
+      gb::platform::ScopedTripAfter trip(n, Governor::Trip::cancel);
+      auto part = bfs(g, 5, BfsVariant::direction_optimizing);
+      if (!is_interruption(part.stop)) continue;
+      cp = std::move(part.checkpoint);
+    }
+    if (!cp.empty()) ++resumed_mid_traversal;
+    auto resumed = cp.empty()
+                       ? bfs(g, 5, BfsVariant::direction_optimizing)
+                       : bfs(g, 5, BfsVariant::direction_optimizing, &cp);
+    ASSERT_EQ(resumed.stop, StopReason::none) << "poll " << n;
+    EXPECT_EQ(tuples(resumed.level), tuples(base.level)) << "poll " << n;
+    EXPECT_EQ(tuples(resumed.parent), tuples(base.parent)) << "poll " << n;
+    EXPECT_EQ(resumed.depth, base.depth) << "poll " << n;
+    EXPECT_EQ(resumed.directions, base.directions) << "poll " << n;
+  }
+  EXPECT_GE(resumed_mid_traversal, 3);
 }

@@ -574,8 +574,8 @@ TEST(CApiError, CorruptOutputCaughtBeforeDispatch) {
 
 TEST(CApi, RunnerSeesAResizedMatrix) {
   // A Runner reuses its graph while the matrix is unchanged; a resize is a
-  // change. The C binding has no GrB_Matrix_resize, so the matrix behind the
-  // handle is resized in place, as that call would do it.
+  // change. White-box: the matrix behind the handle is resized directly
+  // (test_capi_c drives the same steps through GrB_Matrix_resize).
   GrB_Matrix a = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&a, 8, 8), GrB_SUCCESS);
   for (GrB_Index i = 0; i + 1 < 8; ++i)

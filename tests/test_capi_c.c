@@ -861,6 +861,96 @@ static void test_runner_interrupted_cold_call(void) {
   CHECK(GrB_free(&out) == GrB_SUCCESS);
 }
 
+static void test_runner_after_resize(void) {
+  /* A resize is a change to the matrix: a Runner that reused its graph
+   * must see the new shape. The chain 0 -> 1 -> ... -> 7 grows to 12
+   * vertices (4 unreached) and shrinks to 5 (the chain 0 -> ... -> 4). */
+  GrB_Matrix a = NULL;
+  GrB_Vector level = NULL, v = NULL;
+  LAGraph_Runner r = NULL;
+  CHECK(GrB_Matrix_new(&a, 8, 8) == GrB_SUCCESS);
+  for (GrB_Index i = 0; i + 1 < 8; ++i) {
+    CHECK(GrB_setElement(a, 1.0, i, i + 1) == GrB_SUCCESS);
+  }
+  CHECK(LAGraph_Runner_new(&r) == GrB_SUCCESS);
+  check_runner_matches_fresh(r, a, "the first call", &level);
+  CHECK(level_of(level, 7) == 7.0);
+
+  const GrB_Index sizes[] = {12, 5};
+  for (int k = 0; k < 2; ++k) {
+    const GrB_Index n = sizes[k];
+    CHECK(GrB_Matrix_resize(a, n, n) == GrB_SUCCESS);
+    GrB_Index nrows = 0, ncols = 0, size = 0, nvals = 0;
+    CHECK(GrB_Matrix_nrows(&nrows, a) == GrB_SUCCESS && nrows == n);
+    CHECK(GrB_Matrix_ncols(&ncols, a) == GrB_SUCCESS && ncols == n);
+    check_runner_matches_fresh(r, a, "a resize", &level);
+    CHECK(GrB_Vector_size(&size, level) == GrB_SUCCESS && size == n);
+    CHECK(GrB_Vector_nvals(&nvals, level) == GrB_SUCCESS);
+    CHECK(nvals == (n < 8 ? n : 8));
+    CHECK(level_of(level, n < 8 ? n - 1 : 7) == (n < 8 ? n - 1.0 : 7.0));
+  }
+
+  /* The vector call: entries past the new size go, growing adds none. */
+  CHECK(GrB_Vector_new(&v, 6) == GrB_SUCCESS);
+  CHECK(GrB_setElement(v, 2.0, 1) == GrB_SUCCESS);
+  CHECK(GrB_setElement(v, 3.0, 5) == GrB_SUCCESS);
+  CHECK(GrB_Vector_resize(v, 4) == GrB_SUCCESS);
+  GrB_Index vsize = 0, vnvals = 0;
+  CHECK(GrB_Vector_size(&vsize, v) == GrB_SUCCESS && vsize == 4);
+  CHECK(GrB_Vector_nvals(&vnvals, v) == GrB_SUCCESS && vnvals == 1);
+  CHECK(GrB_Vector_resize(v, 9) == GrB_SUCCESS);
+  CHECK(GrB_Vector_size(&vsize, v) == GrB_SUCCESS && vsize == 9);
+  CHECK(GrB_Vector_nvals(&vnvals, v) == GrB_SUCCESS && vnvals == 1);
+  CHECK(level_of(v, 1) == 2.0);
+  CHECK(GrB_Matrix_resize(NULL, 1, 1) == GrB_NULL_POINTER);
+  CHECK(GrB_Vector_resize(NULL, 1) == GrB_NULL_POINTER);
+
+  CHECK(LAGraph_Runner_free(&r) == GrB_SUCCESS);
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_free(&level) == GrB_SUCCESS);
+  CHECK(GrB_free(&v) == GrB_SUCCESS);
+}
+
+static void test_cc_budget_trip_climbs_the_ladder(void) {
+  /* A trip while cc builds its undirected view is a governed step like any
+   * other: with a 1-byte slice budget and no retries, cc must climb the
+   * degradation ladder and give up exactly as bfs does, not escape as a
+   * bare out-of-memory with untouched telemetry. */
+  const GrB_Index n = 64;
+  GrB_Matrix a = NULL;
+  GrB_Vector out = NULL;
+  CHECK(GrB_Matrix_new(&a, n, n) == GrB_SUCCESS);
+  for (GrB_Index i = 0; i + 1 < n; ++i) {
+    CHECK(GrB_setElement(a, 1.0, i, i + 1) == GrB_SUCCESS);
+  }
+  CHECK(GrB_Vector_new(&out, n) == GrB_SUCCESS);
+  for (int k = 0; k < 2; ++k) {
+    LAGraph_Runner r = NULL;
+    CHECK(LAGraph_Runner_new(&r) == GrB_SUCCESS);
+    CHECK(LAGraph_Runner_set_retry(r, 0, 0.0, 1.0, 1.0) == GrB_SUCCESS);
+    CHECK(LAGraph_Runner_set_slice_budget(r, 1) == GrB_SUCCESS);
+    const GrB_Info info = k == 0 ? LAGraph_Runner_cc(out, r, a, NULL)
+                                 : LAGraph_Runner_bfs_level(out, r, a, 0);
+    int32_t slices = 0, degradations = 0;
+    bool gave_up = false;
+    LAGraph_StopReason stop = LAGraph_STOP_NONE;
+    CHECK(LAGraph_Runner_stats(r, &slices, NULL, &degradations, &gave_up,
+                               &stop) == GrB_SUCCESS);
+    if (info != GrB_OUT_OF_MEMORY || !gave_up ||
+        stop != LAGraph_STOP_OUT_OF_MEMORY || slices < 1) {
+      ++failures;
+      fprintf(stderr,
+              "FAIL: %s under a 1-byte budget: info %d, slices %d, "
+              "degradations %d, gave_up %d, stop %d\n",
+              k == 0 ? "cc" : "bfs", (int)info, (int)slices,
+              (int)degradations, (int)gave_up, (int)stop);
+    }
+    CHECK(LAGraph_Runner_free(&r) == GrB_SUCCESS);
+  }
+  CHECK(GrB_free(&a) == GrB_SUCCESS);
+  CHECK(GrB_free(&out) == GrB_SUCCESS);
+}
+
 static void test_storage_format_options(void) {
   /* GxB sparsity control: pin forms, read status back, and confirm the
    * stored values never depend on the form. */
@@ -985,6 +1075,8 @@ int main(void) {
   test_service_matches_runner();
   test_runner_reuses_graph_until_matrix_changes();
   test_runner_interrupted_cold_call();
+  test_runner_after_resize();
+  test_cc_budget_trip_climbs_the_ladder();
   test_storage_format_options();
   test_c_bfs();
   if (failures == 0) {

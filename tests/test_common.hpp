@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -112,6 +113,64 @@ inline gb::Vector<double> random_vector(Index n, double density,
     }
   }
   return v;
+}
+
+/// Storage forms a vector can be put in before a masked write: a sparse or
+/// bitmap form under the auto rule, a pinned sparse or bitmap preference,
+/// or full (every position present, so draw that vector at density 1).
+enum class Form { sparse_pref, sparse_auto, bitmap_auto, bitmap_pref, full };
+
+inline constexpr Form kForms[] = {Form::sparse_pref, Form::sparse_auto,
+                                  Form::bitmap_auto, Form::bitmap_pref,
+                                  Form::full};
+
+inline const char* form_name(Form f) {
+  switch (f) {
+    case Form::sparse_pref: return "sparse";
+    case Form::sparse_auto: return "sparse(auto)";
+    case Form::bitmap_auto: return "bitmap(auto)";
+    case Form::bitmap_pref: return "bitmap";
+    case Form::full: return "full";
+  }
+  return "?";
+}
+
+inline void put_in_form(gb::Vector<double>& v, Form f) {
+  switch (f) {
+    case Form::sparse_pref: v.set_format(gb::FormatMode::sparse); break;
+    case Form::sparse_auto:
+      v.set_format(gb::FormatMode::auto_fmt);
+      v.to_sparse();
+      break;
+    case Form::bitmap_auto:
+      v.set_format(gb::FormatMode::auto_fmt);
+      v.to_dense();
+      break;
+    case Form::bitmap_pref: v.set_format(gb::FormatMode::bitmap); break;
+    case Form::full: v.set_format(gb::FormatMode::full); break;
+  }
+}
+
+/// A random vector (see random_vector) held in form f.
+inline gb::Vector<double> random_vector_in(Index n, double density,
+                                           std::uint64_t seed, Form f) {
+  auto v = random_vector(n, f == Form::full ? 1.0 : density, seed);
+  put_in_form(v, f);
+  return v;
+}
+
+/// Pattern equal, and every present value equal bit for bit.
+inline bool bits_equal(const ref::DenseVec<double>& want,
+                       const gb::Vector<double>& got) {
+  if (want.n != got.size()) return false;
+  auto d = ref::from_gb(got);
+  for (Index i = 0; i < want.n; ++i) {
+    if (want.pat[i] != d.pat[i]) return false;
+    if (want.pat[i] &&
+        std::memcmp(&want.val[i], &d.val[i], sizeof(double)) != 0)
+      return false;
+  }
+  return true;
 }
 
 /// The descriptor sweep: every combination of replace / complement /

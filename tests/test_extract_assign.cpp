@@ -3,7 +3,9 @@
 // region-accumulate-then-global-mask rule of GrB_assign.
 #include <gtest/gtest.h>
 
+#include "graphblas/validate.hpp"
 #include "lagraph/util/check.hpp"
+#include "platform/memory.hpp"
 #include "test_common.hpp"
 
 using namespace testutil;
@@ -196,4 +198,82 @@ TEST(Assign, MatrixScalarExpansion) {
                     gb::IndexSel(jsel));
   EXPECT_EQ(c.nvals(), 4u);
   EXPECT_EQ(c.extract_element(3, 4).value(), 2.5);
+}
+
+// --- Masked scalar assign over GrB_ALL in every storage form -----------------
+//
+// w<m> accum= s with a plain mask stores in place into a bitmap or full w
+// and merges w with the mask's entries otherwise; a complemented mask takes
+// the general path. All of them must match the dense mimic bit for bit.
+
+
+TEST(MaskedAssignScalar, MatchesMimicInEveryForm) {
+  const Index n = 50;
+  gb::Plus plus;
+  std::vector<Index> all(n);
+  for (Index i = 0; i < n; ++i) all[i] = i;
+  std::uint64_t seed = 8100;
+  for (Form wf : kForms) {
+    for (Form mf : {Form::sparse_auto, Form::bitmap_auto, Form::full}) {
+      for (const auto& d : mask_descriptor_sweep()) {
+        for (bool accum : {false, true}) {
+          for (bool mask_is_w : {false, true}) {
+            seed += 3;
+            auto w = random_vector_in(n, 0.5, seed, wf);
+            auto m = random_vector_in(n, 0.3, seed + 1, mf);
+            auto dw = ref::from_gb(w);
+            const auto dm = mask_is_w ? dw : ref::from_gb(m);
+            const gb::Vector<double>& mask = mask_is_w ? w : m;
+            const double s = -2.5;
+            if (accum) {
+              gb::assign_scalar(w, mask, plus, s, gb::IndexSel::all(n), d);
+              ref::assign_scalar(dw, &dm, &plus, s, all, d);
+            } else {
+              gb::assign_scalar(w, mask, gb::no_accum, s,
+                                gb::IndexSel::all(n), d);
+              ref::assign_scalar(dw, &dm,
+                                 static_cast<const gb::Plus*>(nullptr), s,
+                                 all, d);
+            }
+            EXPECT_TRUE(bits_equal(dw, w))
+                << "w " << form_name(wf) << " mask " << form_name(mf) << " "
+                << desc_name(d)
+                << " accum=" << accum << " mask_is_w=" << mask_is_w;
+            EXPECT_TRUE(gb::check(w, gb::CheckLevel::full).ok());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedAssignScalar, CostsTheMaskNotTheVector) {
+  // A 1-entry mask into a bitmap vector of 2^20 positions: the write must
+  // allocate O(|mask|), not the 2^20-entry region list and merge buffers
+  // (tens of MiB) of a whole-vector pass.
+  const Index n = Index{1} << 20;
+  gb::Vector<std::int64_t> level(n);
+  level.set_format(gb::FormatMode::bitmap);
+  gb::Vector<std::uint64_t> frontier(n);
+  frontier.set_format(gb::FormatMode::sparse);
+  frontier.set_element(123457, 9);
+  frontier.wait();
+  using gb::platform::MemoryMeter;
+  MemoryMeter::reset_peak();
+  const std::size_t before = MemoryMeter::current_bytes();
+  gb::assign_scalar(level, frontier, gb::no_accum, std::int64_t{4},
+                    gb::IndexSel::all(n), gb::desc_s);
+  EXPECT_LT(MemoryMeter::peak_bytes() - before, std::size_t{4096});
+  EXPECT_EQ(level.nvals(), 1u);
+  EXPECT_EQ(level.extract_element(123457).value(), 4);
+
+  // The masked record of the parent id, through write_back.
+  gb::Vector<std::int64_t> parent(n);
+  parent.set_format(gb::FormatMode::bitmap);
+  MemoryMeter::reset_peak();
+  const std::size_t before2 = MemoryMeter::current_bytes();
+  gb::apply(parent, frontier, gb::no_accum, gb::Identity{}, frontier,
+            gb::desc_s);
+  EXPECT_LT(MemoryMeter::peak_bytes() - before2, std::size_t{4096});
+  EXPECT_EQ(parent.extract_element(123457).value(), 9);
 }

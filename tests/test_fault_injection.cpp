@@ -1498,3 +1498,137 @@ TEST_F(KernelScratchFault, ApplyDenseNative) {
       },
       c_);
 }
+
+// --- In-place masked writes --------------------------------------------------
+// A plain masked write into a bitmap or full vector stores straight into its
+// arrays. Everything that can fail — polls, the scratch lists, and the
+// presence map a full vector needs before it can lose an entry — runs before
+// the first store, so an injected bad_alloc or a governor trip at any point
+// must leave the vector bit-identical, in its storage form, with the meter
+// back at baseline. Each attempt starts from a fresh copy of `start`, so the
+// failing path is the in-place one every time (a successful write can change
+// the form, e.g. full -> bitmap).
+
+namespace {
+
+using testutil::Form;
+using testutil::random_vector_in;
+
+enum class InPlaceFault { alloc, trip };
+
+template <class Op>
+void in_place_soak(const char* name, const gb::Vector<double>& start, Op op,
+                   InPlaceFault fault) {
+  ASSERT_TRUE(start.is_dense_rep()) << name;
+  constexpr std::uint64_t kMaxN = 100000;
+  for (std::uint64_t n = 0; n < kMaxN; ++n) {
+    gb::Vector<double> w = start;
+    const auto before = cxx_snapshot(w);
+    const bool was_full = w.is_full_rep();
+    const std::size_t baseline = MemoryMeter::current_bytes();
+    bool failed = false;
+    if (fault == InPlaceFault::alloc) {
+      ScopedFailAfter guard(n);
+      try {
+        op(w);
+      } catch (const std::bad_alloc&) {
+        failed = true;
+      }
+    } else {
+      Governor gov;
+      gb::platform::GovernorScope governed(&gov);
+      ScopedTripAfter trip(n, Governor::Trip::cancel);
+      try {
+        op(w);
+      } catch (const gb::platform::CancelledError&) {
+        failed = true;
+      }
+    }
+    if (!failed) {
+      EXPECT_GT(n, 0u) << name << " never reached a fault point";
+      EXPECT_TRUE(w.is_dense_rep()) << name << " left the dense form";
+      EXPECT_TRUE(gb::check(w, gb::CheckLevel::full).ok()) << name;
+      return;
+    }
+    EXPECT_TRUE(gb::check(w, gb::CheckLevel::full).ok())
+        << name << " corrupted its output failing at " << n;
+    EXPECT_EQ(cxx_snapshot(w), before)
+        << name << " modified its output despite failing at " << n;
+    EXPECT_EQ(w.is_full_rep(), was_full) << name << " at " << n;
+    EXPECT_EQ(MemoryMeter::current_bytes(), baseline)
+        << name << " leaked metered bytes after failing at " << n;
+  }
+  ADD_FAILURE() << name << " never completed under injection";
+}
+
+}  // namespace
+
+TEST(InPlaceMaskedWriteFault, EveryAllocationAndEveryPoll) {
+  // 3000 positions: the polls every 1024 mask entries and the growth of the
+  // scratch lists both sit on the failure path several times.
+  const gb::Index n = 3000;
+  const auto bitmap_w = random_vector_in(n, 0.5, 11, Form::bitmap_pref);
+  const auto full_w = random_vector_in(n, 1.0, 12, Form::full);
+  ASSERT_TRUE(full_w.is_full_rep());
+  auto sparse_mask = testutil::random_vector(n, 0.6, 13);
+  sparse_mask.set_format(gb::FormatMode::sparse);
+  const auto bitmap_mask = random_vector_in(n, 0.6, 14, Form::bitmap_pref);
+  auto u = testutil::random_vector(n, 0.3, 15);
+  u.set_format(gb::FormatMode::sparse);
+
+  for (auto fault : {InPlaceFault::alloc, InPlaceFault::trip}) {
+    in_place_soak(
+        "assign_scalar<sparse mask> accum into bitmap", bitmap_w,
+        [&](gb::Vector<double>& w) {
+          gb::assign_scalar(w, sparse_mask, gb::Plus{}, 2.0,
+                            gb::IndexSel::all(n));
+        },
+        fault);
+    in_place_soak(
+        "assign_scalar<bitmap mask,s> into full", full_w,
+        [&](gb::Vector<double>& w) {
+          gb::assign_scalar(w, bitmap_mask, gb::no_accum, -1.0,
+                            gb::IndexSel::all(n), gb::desc_s);
+        },
+        fault);
+    // Mask positions u lacks delete entries of the full vector: its
+    // presence map must be materialised before the first store.
+    in_place_soak(
+        "apply<sparse mask> deleting from full", full_w,
+        [&](gb::Vector<double>& w) {
+          gb::apply(w, sparse_mask, gb::no_accum, gb::Identity{}, u);
+        },
+        fault);
+    in_place_soak(
+        "apply<bitmap mask> accum into bitmap", bitmap_w,
+        [&](gb::Vector<double>& w) {
+          gb::apply(w, bitmap_mask, gb::Plus{}, gb::Identity{}, u);
+        },
+        fault);
+  }
+}
+
+TEST(InPlaceMaskedWriteFault, MaskedPushIntoBitmap) {
+  // The push kernel keeps its accumulator at size between calls; a failure
+  // inside it must hand the buffers back cleared, and the next clean call
+  // must still give the same answer as the first.
+  const gb::Index n = 300;
+  const auto a = testutil::random_matrix(n, n, 0.02, 21);
+  auto u = testutil::random_vector(n, 0.05, 22);
+  u.set_format(gb::FormatMode::sparse);
+  const auto mask = random_vector_in(n, 0.5, 23, Form::bitmap_pref);
+  const auto start = random_vector_in(n, 0.4, 24, Form::bitmap_pref);
+  gb::Descriptor d;
+  d.mxv = gb::MxvMethod::push;
+  auto op = [&](gb::Vector<double>& w) {
+    gb::vxm(w, mask, gb::no_accum, gb::plus_times<double>(), u, a, d);
+  };
+  gb::Vector<double> want = start;
+  op(want);
+  for (auto fault : {InPlaceFault::alloc, InPlaceFault::trip}) {
+    in_place_soak("vxm<mask>/push into bitmap", start, op, fault);
+    gb::Vector<double> again = start;
+    op(again);
+    EXPECT_EQ(cxx_snapshot(again), cxx_snapshot(want));
+  }
+}

@@ -34,6 +34,7 @@ struct tag_exhaust;
 struct tag_lifo;
 struct tag_depth;
 struct tag_evict;
+struct tag_keep;
 
 TEST(Workspace, CheckinRetainsCapacityAndCheckoutReuses) {
   Workspace::clear_thread();
@@ -67,6 +68,30 @@ TEST(Workspace, CheckinResetsContents) {
     // resize() after the pool's clear() value-initializes: stale contents
     // from the previous call must not leak through.
     auto h = Workspace::checkout<tag_b, int>(8);
+    for (int e : *h) EXPECT_EQ(e, 0);
+  }
+  Workspace::clear_thread();
+}
+
+TEST(Workspace, KeepContentsChecksInAtSize) {
+  // A site that resets what it dirtied keeps its buffer at size: the next
+  // checkout sees the elements instead of a fresh fill. Without
+  // keep_contents() (an exception unwinding the kernel) the check-in clears.
+  Workspace::clear_thread();
+  {
+    auto h = Workspace::checkout<tag_keep, int>(8);
+    (*h)[3] = 7;
+    h.keep_contents();
+  }
+  {
+    auto h = Workspace::checkout<tag_keep, int>(8);
+    EXPECT_EQ((*h)[3], 7);
+    auto g = Workspace::checkout<tag_keep, int>(12);  // nested: fresh
+    EXPECT_EQ(g->size(), 12u);
+    for (int e : *g) EXPECT_EQ(e, 0);
+  }
+  {
+    auto h = Workspace::checkout<tag_keep, int>(8);
     for (int e : *h) EXPECT_EQ(e, 0);
   }
   Workspace::clear_thread();
