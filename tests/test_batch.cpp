@@ -4,8 +4,8 @@
 //   * the multi-source drivers (bfs_level_ms / sssp_bellman_ford_ms /
 //     pagerank_personalized_ms) are bit-identical PER ROW to k independent
 //     single-source runs — at 1/2/4 OpenMP threads and across sparse/bitmap
-//     storage forms — and their checkpoints resume the whole batch
-//     deterministically;
+//     storage forms (their whole-batch resume soaks live in
+//     test_runner.cpp, with every other driver's);
 //   * the platform coalescing stage groups submit_coalesced requests by key
 //     up to batch_max, dispatches a batch as one governed unit, and keeps
 //     the per-member submit/poll/wait/cancel contract: a member cancel masks
@@ -55,7 +55,6 @@ using gb::platform::ScopedTripAfter;
 using gb::platform::Service;
 using gb::platform::ServicePolicy;
 using gb::platform::ServiceStats;
-using lagraph::Checkpoint;
 using lagraph::Graph;
 using lagraph::GraphService;
 using lagraph::ServiceJobResult;
@@ -217,95 +216,6 @@ TEST(BatchDrivers, MsDriversValidateSources) {
   EXPECT_THROW((void)lagraph::sssp_bellman_ford_ms(g, {0, 999}), gb::Error);
   EXPECT_THROW((void)lagraph::pagerank_personalized_ms(g, {}), gb::Error);
   EXPECT_THROW((void)lagraph::pagerank_personalized_ms(g, {999}), gb::Error);
-}
-
-// --- multi-source drivers: whole-batch resume determinism --------------------
-
-namespace {
-
-// Same sweep as test_runner's: trip at every sampled poll ordinal, resume
-// from the capsule ungoverned, demand the exact uninterrupted result.
-template <class Run, class Extract>
-void soak_resume_determinism(const char* name, Run&& run, Extract&& extract) {
-  const auto base = run(nullptr);
-  ASSERT_FALSE(lagraph::is_interruption(base.stop)) << name;
-  const auto want = extract(base);
-
-  constexpr std::uint64_t kMaxN = 200000;
-  std::uint64_t stride = 1;
-  for (std::uint64_t n = 0; n < kMaxN; n += stride) {
-    Checkpoint cp;
-    bool interrupted = false;
-    {
-      Governor gov;
-      GovernorScope s(&gov);
-      ScopedTripAfter trip(n, Governor::Trip::cancel);
-      auto part = run(nullptr);
-      interrupted = lagraph::is_interruption(part.stop);
-      if (interrupted) {
-        EXPECT_EQ(part.stop, StopReason::cancelled) << name << " poll " << n;
-        cp = std::move(part.checkpoint);
-      }
-    }
-    if (!interrupted) return;  // the whole run fits under this ordinal
-    auto resumed = cp.empty() ? run(nullptr) : run(&cp);
-    ASSERT_FALSE(lagraph::is_interruption(resumed.stop))
-        << name << " resumed run tripped ungoverned, poll " << n;
-    EXPECT_EQ(extract(resumed), want)
-        << name << ": trip at poll " << n << " + resume differs";
-    if (n >= 24) stride = 1 + n / 3;
-  }
-  ADD_FAILURE() << name << " never completed under poll trips";
-}
-
-template <class T>
-auto matrix_tuples(const gb::Matrix<T>& m) {
-  std::tuple<std::vector<Index>, std::vector<Index>, std::vector<T>> t;
-  m.extract_tuples(std::get<0>(t), std::get<1>(t), std::get<2>(t));
-  return t;
-}
-
-}  // namespace
-
-TEST(BatchResume, BfsMsCheckpointCarriesTheWholeBatch) {
-  Graph g(lagraph::cycle_graph(32), lagraph::Kind::undirected);
-  const std::vector<Index> sources{0, 9, 20};
-  soak_resume_determinism(
-      "bfs_level_ms",
-      [&](const Checkpoint* cp) {
-        return lagraph::bfs_level_ms(g, sources, cp);
-      },
-      [](const lagraph::BfsMsResult& r) {
-        return std::make_pair(matrix_tuples(r.level), r.depth);
-      });
-}
-
-TEST(BatchResume, SsspMsCheckpointCarriesTheWholeBatch) {
-  Graph g(lagraph::cycle_graph(24), lagraph::Kind::undirected);
-  const std::vector<Index> sources{0, 5, 11};
-  soak_resume_determinism(
-      "sssp_bellman_ford_ms",
-      [&](const Checkpoint* cp) {
-        return lagraph::sssp_bellman_ford_ms(g, sources, cp);
-      },
-      [](const lagraph::SsspMsResult& r) {
-        return std::make_pair(matrix_tuples(r.dist), r.iterations);
-      });
-}
-
-TEST(BatchResume, PprMsCheckpointCarriesTheWholeBatch) {
-  Graph g(lagraph::path_graph(24), lagraph::Kind::undirected);
-  const std::vector<Index> sources{0, 8, 15};
-  soak_resume_determinism(
-      "pagerank_personalized_ms",
-      [&](const Checkpoint* cp) {
-        return lagraph::pagerank_personalized_ms(g, sources, 0.85, 1e-9, 60,
-                                                 cp);
-      },
-      [](const lagraph::PprMsResult& r) {
-        return std::make_tuple(matrix_tuples(r.rank), r.iterations,
-                               r.row_stop, r.rounds);
-      });
 }
 
 // --- platform coalescing stage ----------------------------------------------
