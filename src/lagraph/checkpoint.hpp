@@ -298,21 +298,7 @@ class Checkpoint {
   std::map<std::string, Slot> slots_;  // ordered => deterministic bytes
 };
 
-/// Best-effort capture: packing loop state allocates, and after a budget
-/// trip those allocations can trip again. A capture failure must not escape
-/// the driver (the partial result is still valid); it just means the run
-/// cannot be resumed and a restart starts from scratch.
-template <class F>
-void capture_checkpoint(Checkpoint& cp, F&& fill) {
-  try {
-    cp.clear();
-    fill(cp);
-  } catch (...) {
-    cp.clear();
-  }
-}
-
-/// Resume guard: every `*_run(..., resume)` entry point calls this before
+/// Resume guard: the driver frame (lagraph::iterate) calls this before
 /// unpacking, so a capsule written by a different algorithm is rejected with
 /// a clear error instead of a slot-shape mismatch.
 void check_resume(const Checkpoint& cp, const std::string& algorithm);

@@ -33,7 +33,9 @@ struct BfsResult {
   StopReason stop = StopReason::none;
   /// On interruption: the loop state at the last complete level. Feed it
   /// back through `resume` to continue; the resumed result is bit-identical
-  /// to an uninterrupted run. Empty if capture itself failed.
+  /// to an uninterrupted run. Empty if capture itself failed, and empty
+  /// whenever `stop` is not an interruption (a completed run, resumed or
+  /// not, hands back no capsule).
   Checkpoint checkpoint;
 };
 
@@ -50,7 +52,7 @@ struct BfsMsResult {
   gb::Matrix<std::int64_t> level;
   std::int64_t depth = 0;  ///< levels advanced (max over the batch)
   StopReason stop = StopReason::none;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Multi-source BFS: all k sources advance together as rows of one
@@ -70,7 +72,7 @@ struct SsspResult {
   /// converged = distances fixed; cancelled/timeout/out_of_memory = governor
   /// stopped relaxation early (dist holds valid upper bounds).
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Bellman-Ford SSSP via min-plus vxm iteration. Absent = unreachable.
@@ -90,7 +92,7 @@ struct SsspMsResult {
   gb::Matrix<double> dist;
   int iterations = 0;  ///< relaxation rounds until the whole batch settled
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Multi-source Bellman-Ford: one min-plus mxm relaxes every batched source
@@ -104,7 +106,7 @@ struct ApspResult {
   gb::Matrix<double> d;  ///< pairwise distances (so-far) between all vertices
   int rounds = 0;        ///< min-plus squaring rounds completed
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// All-pairs shortest paths by min-plus repeated squaring (small graphs).
@@ -124,7 +126,7 @@ struct PageRankResult {
   bool converged = false;  ///< residual fell under tol before max_iters
   double residual = std::numeric_limits<double>::infinity();  ///< last L1 change
   StopReason stop = StopReason::max_iters;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// PageRank with dangling-node handling (teleport redistribution).
@@ -145,7 +147,7 @@ struct PprMsResult {
   std::vector<std::uint8_t> row_stop;    ///< per-row StopReason (as int)
   int rounds = 0;                        ///< global iteration rounds executed
   StopReason stop = StopReason::max_iters;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Batched personalised PageRank: k teleport seeds advance as rows of one
@@ -162,7 +164,7 @@ struct PprResult {
   int iterations = 0;
   bool converged = false;
   StopReason stop = StopReason::max_iters;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Single-seed personalised PageRank — the k = 1 specialisation of
@@ -177,7 +179,7 @@ struct BcResult {
   gb::Vector<double> centrality;   ///< empty until the run completes
   std::size_t levels = 0;          ///< BFS levels discovered by the forward sweep
   StopReason stop = StopReason::none;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Batched Brandes betweenness centrality, interruptible between the
@@ -211,7 +213,7 @@ struct KtrussResult {
   std::uint64_t nedges = 0;    ///< undirected edges surviving
   int rounds = 0;
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// k-truss, interruptible/resumable between support-pruning rounds.
@@ -229,7 +231,7 @@ struct CcResult {
   gb::Vector<std::uint64_t> labels;  ///< component label so far (converging)
   int rounds = 0;                    ///< FastSV hook/shortcut rounds done
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Connected components (FastSV), interruptible/resumable between rounds.
@@ -243,7 +245,7 @@ struct SccResult {
   gb::Vector<std::uint64_t> labels;  ///< pivot label; absent = not yet settled
   int pivots = 0;                    ///< FW-BW pivot rounds completed
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Strongly connected components (FW-BW), interruptible/resumable between
@@ -259,7 +261,7 @@ struct KcoreResult {
   gb::Vector<std::uint64_t> coreness;  ///< settled for peeled vertices
   std::uint64_t k = 0;                 ///< current peel level
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// k-core decomposition, interruptible/resumable between peeling steps.
@@ -273,7 +275,7 @@ struct MisResult {
   gb::Vector<bool> set;  ///< entries present (true) are in the set
   int rounds = 0;        ///< Luby rounds completed
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Luby's MIS, interruptible/resumable between rounds. The capsule carries
@@ -288,7 +290,7 @@ struct ColoringResult {
   gb::Vector<std::uint64_t> colors;  ///< 1-based; absent = not yet colored
   std::uint64_t rounds = 0;          ///< independent sets carved so far
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Greedy IS coloring, interruptible/resumable between color rounds.
@@ -302,7 +304,7 @@ struct MatchingResult {
   gb::Vector<std::uint64_t> mate;  ///< partner so far; mate(i) = i unmatched
   int rounds = 0;
   StopReason stop = StopReason::converged;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Maximal matching, interruptible/resumable between rounds.
@@ -321,7 +323,7 @@ struct ClusterResult {
   /// vertices that changed label in the last round.
   double residual = std::numeric_limits<double>::infinity();
   StopReason stop = StopReason::max_iters;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Markov clustering (MCL). Labels come from each column's attractor row.
@@ -353,7 +355,7 @@ struct DnnResult {
   gb::Matrix<double> y;  ///< activations after `layers_done` layers
   int layers_done = 0;
   StopReason stop = StopReason::none;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// Sparse DNN inference, interruptible/resumable between layers.
@@ -381,7 +383,7 @@ struct AStarResult {
   std::vector<Index> path;  ///< source..target; empty if unreachable
   Index expanded = 0;       ///< vertices settled before reaching the target
   StopReason stop = StopReason::none;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// A*, interruptible/resumable between expansions (the capsule carries the
@@ -424,7 +426,7 @@ struct GcnResult {
   gb::Matrix<double> h;  ///< hidden state after `layers_done` layers
   int layers_done = 0;
   StopReason stop = StopReason::none;
-  Checkpoint checkpoint;  ///< resume capsule when interrupted
+  Checkpoint checkpoint;  ///< resume capsule; empty unless interrupted
 };
 
 /// GCN inference, interruptible/resumable between layers.
