@@ -176,6 +176,7 @@ class Governor {
  private:
   friend class GovernorScope;
   friend class GovernorBind;
+  friend class GovernorUnbind;
 
   static Governor*& slot() noexcept;
   static std::int64_t now_ns() noexcept {
@@ -234,6 +235,24 @@ class GovernorBind {
   ~GovernorBind() { Governor::slot() = prev_; }
   GovernorBind(const GovernorBind&) = delete;
   GovernorBind& operator=(const GovernorBind&) = delete;
+
+ private:
+  Governor* prev_;
+};
+
+/// Runs a scope on the calling thread with no governor: polls pass and
+/// allocations are not charged. For the bookkeeping a driver does once its
+/// run has stopped or finished (packing the resume capsule, assembling the
+/// result from state it already holds), which must not trip again on the
+/// cancel or deadline that stopped it.
+class GovernorUnbind {
+ public:
+  GovernorUnbind() noexcept : prev_(Governor::slot()) {
+    Governor::slot() = nullptr;
+  }
+  ~GovernorUnbind() { Governor::slot() = prev_; }
+  GovernorUnbind(const GovernorUnbind&) = delete;
+  GovernorUnbind& operator=(const GovernorUnbind&) = delete;
 
  private:
   Governor* prev_;
