@@ -81,14 +81,12 @@ CcResult connected_components_run(const Graph& g, const Checkpoint* resume) {
     const auto fv = f.dense_values();
 
     // Grandparents: gp = f[f], the mxv input.
+    Parents grand(n);
+    for_blocks(n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) grand[i] = fv[fv[i]];
+    });
     gb::Vector<std::uint64_t> gp(n);
-    {
-      Parents gpv(n);
-      for_blocks(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) gpv[i] = fv[fv[i]];
-      });
-      gp.load_full(std::move(gpv));
-    }
+    gp.load_full(std::move(grand));
     const auto gpv = gp.dense_values();
 
     // Stochastic hooking: mngp(i) = min_{j in adj(i)} gp(j).
