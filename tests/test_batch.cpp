@@ -33,10 +33,6 @@
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "graphblas/graphblas.hpp"
 #include "lagraph/checkpoint.hpp"
 #include "lagraph/lagraph.hpp"
@@ -46,6 +42,7 @@
 #include "platform/alloc.hpp"
 #include "platform/governor.hpp"
 #include "platform/service.hpp"
+#include "test_common.hpp"
 
 using gb::Index;
 using gb::platform::Governor;
@@ -59,6 +56,7 @@ using lagraph::Graph;
 using lagraph::GraphService;
 using lagraph::ServiceJobResult;
 using lagraph::StopReason;
+using testutil::ThreadGuard;
 
 namespace {
 
@@ -72,27 +70,6 @@ const bool env_primed = [] {
 void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
-
-/// RAII OpenMP thread-count override (same as the parallel suite).
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) {
-#ifdef _OPENMP
-    before_ = omp_get_max_threads();
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(before_);
-#endif
-  }
-
- private:
-  int before_ = 1;
-};
 
 Graph make_graph(std::uint64_t seed, gb::FormatMode fmt) {
   gb::Matrix<double> a = lagraph::randomize_weights(

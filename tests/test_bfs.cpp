@@ -3,8 +3,6 @@
 // scale-free inputs.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -14,9 +12,11 @@
 #include "lagraph/util/generator.hpp"
 #include "platform/governor.hpp"
 #include "reference/simple_graph.hpp"
+#include "test_common.hpp"
 
 using gb::Index;
 using namespace lagraph;
+using testutil::ThreadGuard;
 
 namespace {
 
@@ -156,19 +156,6 @@ Tuples tuples(const gb::Vector<std::int64_t>& v) {
   return t;
 }
 
-class OmpThreads {
- public:
-  explicit OmpThreads(int n) : before_(omp_get_max_threads()) {
-    omp_set_num_threads(n);
-  }
-  ~OmpThreads() { omp_set_num_threads(before_); }
-  OmpThreads(const OmpThreads&) = delete;
-  OmpThreads& operator=(const OmpThreads&) = delete;
-
- private:
-  int before_;
-};
-
 }  // namespace
 
 TEST(BfsFrontierCost, LevelsAndParentsAtOneTwoFourThreads) {
@@ -187,7 +174,7 @@ TEST(BfsFrontierCost, LevelsAndParentsAtOneTwoFourThreads) {
           BfsVariant::direction_optimizing}) {
       std::tuple<Tuples, Tuples, std::int64_t> first;
       for (int threads : {1, 2, 4}) {
-        OmpThreads scoped(threads);
+        ThreadGuard scoped(threads);
         SCOPED_TRACE(::testing::Message()
                      << c.name << " variant " << static_cast<int>(variant)
                      << " threads " << threads);

@@ -1,8 +1,6 @@
 // Connected components (FastSV) vs union-find.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -13,9 +11,11 @@
 #include "platform/governor.hpp"
 #include "platform/parallel.hpp"
 #include "reference/simple_graph.hpp"
+#include "test_common.hpp"
 
 using gb::Index;
 using namespace lagraph;
+using testutil::ThreadGuard;
 
 namespace {
 
@@ -37,19 +37,6 @@ Tuples tuples(const gb::Vector<std::uint64_t>& v) {
   v.extract_tuples(t.first, t.second);
   return t;
 }
-
-class OmpThreads {
- public:
-  explicit OmpThreads(int n) : before_(omp_get_max_threads()) {
-    omp_set_num_threads(n);
-  }
-  ~OmpThreads() { omp_set_num_threads(before_); }
-  OmpThreads(const OmpThreads&) = delete;
-  OmpThreads& operator=(const OmpThreads&) = delete;
-
- private:
-  int before_;
-};
 
 gb::Matrix<double> from_edges(Index n,
                               const std::vector<std::pair<Index, Index>>& e) {
@@ -192,7 +179,7 @@ TEST(ConnectedComponents, ShapesAtEveryThreadCountAndChunking) {
     for (const Config& cfg : configs) {
       SCOPED_TRACE(::testing::Message() << c.name << " threads " << cfg.threads
                                         << " chunks " << cfg.chunks);
-      OmpThreads threads(cfg.threads);
+      ThreadGuard threads(cfg.threads);
       gb::platform::ForcedChunks chunks(cfg.chunks);
       expect_cc_matches(c.g);
       const auto res = connected_components_run(c.g);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstring>
 #include <optional>
@@ -19,6 +20,21 @@
 namespace testutil {
 
 using gb::Index;
+
+/// RAII OpenMP thread-count override, so a failing assertion can't leak the
+/// setting into other tests.
+class ThreadGuard {
+ public:
+  explicit ThreadGuard(int n) : before_(omp_get_max_threads()) {
+    omp_set_num_threads(n);
+  }
+  ~ThreadGuard() { omp_set_num_threads(before_); }
+  ThreadGuard(const ThreadGuard&) = delete;
+  ThreadGuard& operator=(const ThreadGuard&) = delete;
+
+ private:
+  int before_;
+};
 
 // --- pre/post snapshots over the C API ------------------------------------
 //

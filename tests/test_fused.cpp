@@ -11,10 +11,6 @@
 #include <limits>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "graphblas/graphblas.hpp"
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
@@ -31,28 +27,9 @@ using gb::platform::Governor;
 using gb::platform::MemoryMeter;
 using gb::platform::ScopedFailAfter;
 using gb::platform::ScopedTripAfter;
+using testutil::ThreadGuard;
 
 namespace {
-
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) {
-#ifdef _OPENMP
-    before_ = omp_get_max_threads();
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(before_);
-#endif
-  }
-
- private:
-  int before_ = 1;
-};
 
 constexpr FormatMode kForms[] = {FormatMode::sparse, FormatMode::bitmap,
                                  FormatMode::full};

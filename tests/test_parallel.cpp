@@ -11,41 +11,13 @@
 #include <stdexcept>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
 #include "lagraph/util/generator.hpp"
+#include "test_common.hpp"
 
 using gb::Index;
-
-namespace {
-
-/// RAII thread-count override so a failing assertion can't leak the
-/// setting into other tests.
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) {
-#ifdef _OPENMP
-    before_ = omp_get_max_threads();
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(before_);
-#endif
-  }
-
- private:
-  int before_ = 1;
-};
-
-}  // namespace
+using testutil::ThreadGuard;
 
 TEST(Parallel, PullMxvBitIdenticalAcrossThreadCounts) {
   // Large enough to clear the parallel kernel's row threshold.
